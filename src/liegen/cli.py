@@ -56,13 +56,20 @@ def matrix_to_doc(m: Matrix) -> dict:
 
 
 def matrix_from_doc(doc: dict) -> Matrix:
+    if not isinstance(doc, dict):
+        raise ValueError("matrix document must be a JSON object")
     rows, cols = doc["rows"], doc["cols"]
     if rows != cols:
         raise ValueError("matrix document must be square")
     entries = doc["entries"]
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ValueError("matrix entries must be a list of lists")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("matrix document dimensions inconsistent")
-    return Matrix([[Fraction(x) for x in row] for row in entries])
+    try:
+        return Matrix([[Fraction(x) for x in row] for row in entries])
+    except TypeError:
+        raise ValueError("matrix entries must be numbers or fraction strings") from None
 
 
 def _poly_doc(p: Polynomial) -> dict:
@@ -100,7 +107,10 @@ def _emit(doc: dict) -> None:
 def _parse_b(spec: str, n: int) -> tuple[Fraction, ...]:
     if spec == "doubling":
         return doubling_bvector(n)
-    return tuple(Fraction(x.strip()) for x in spec.split(","))
+    b = tuple(Fraction(x.strip()) for x in spec.split(","))
+    if len(b) != n - 1:
+        raise ValueError("b-vector length must be n - 1")
+    return b
 
 
 def _build_pair(family: str, n: Optional[int], b_spec: Optional[str]):
@@ -176,8 +186,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         if args.n is None:
             raise ValueError("--n is required")
         b = _parse_b(args.b or "doubling", args.n)
-        if len(b) != args.n - 1:
-            raise ValueError("b-vector length must be n - 1")
         doc["family"] = FAMILY_LOWER
         doc["n"] = args.n
         doc["b"] = [str(x) for x in b]
@@ -209,8 +217,6 @@ def cmd_exp(args: argparse.Namespace) -> int:
         if args.r is None:
             raise ValueError("--r is required for kind lower")
         b = _parse_b(args.b or "doubling", args.n)
-        if len(b) != args.n - 1:
-            raise ValueError("b-vector length must be n - 1")
         g = exp_lower(Fraction(args.r), b)
     _emit({"kind": args.kind, "n": args.n, "matrix": matrix_to_doc(g.matrix)})
     return 0
@@ -402,7 +408,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (
+        ValueError, ZeroDivisionError, OSError, json.JSONDecodeError, KeyError
+    ) as exc:
         print(f"liegen: error: {exc}", file=sys.stderr)
         return 2
 

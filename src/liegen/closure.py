@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import Matrix, SpanBasis, bracket
+from .exact import Matrix, SpanBasis, _int_flatten, bracket
 from .generators import (
     FAMILY_CORNER,
     FAMILY_DOUBLE_CORNER,
@@ -23,41 +25,34 @@ class ClosureResult:
     rounds: int
 
 
-def _int_matrix(m: Matrix) -> list[list[int]]:
-    flat = m.flatten()
-    den = math.lcm(*(x.denominator for x in flat))
-    rows = [[int(x * den) for x in row] for row in m.rows]
-    return _int_primitive(rows)
+def _by_row(v: dict[int, int], n: int) -> dict[int, list[tuple[int, int]]]:
+    """Nonzero entries grouped by row, {i: [(j, a_ij)]}, 0-based."""
+    rows = defaultdict(list)
+    for k, x in v.items():
+        i, j = divmod(k, n)
+        rows[i].append((j, x))
+    return rows
 
 
-def _int_primitive(rows: list[list[int]]) -> list[list[int]]:
-    g = 0
-    for row in rows:
-        for x in row:
-            g = math.gcd(g, x)
-            if g == 1:
-                return rows
-    return rows if g <= 1 else [[x // g for x in row] for row in rows]
-
-
-def _int_bracket(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    at = list(zip(*a))
-    bt = list(zip(*b))
-    return [
-        [
-            sum(x * y for x, y in zip(ra, cb)) - sum(x * y for x, y in zip(rb, ca))
-            for cb, ca in zip(bt, at)
-        ]
-        for ra, rb in zip(a, b)
-    ]
+def _sparse_bracket(a: dict, b: dict, n: int) -> dict[int, int]:
+    """[a, b] = ab - ba of two matrices grouped by row, as {row-major index: int}."""
+    out: dict[int, int] = defaultdict(int)
+    for left, right, sign in ((a, b, 1), (b, a, -1)):
+        for i, row in left.items():
+            for j, x in row:
+                for k, y in right.get(j, ()):
+                    out[i * n + k] += sign * x * y
+    return {k: x for k, x in out.items() if x}
 
 
 def subalgebra_closure(seed: Sequence[Matrix]) -> ClosureResult:
     """Smallest Lie subalgebra of gl(n) containing the seed matrices.
 
-    Full pairwise bracket sweeps over the current spanning set until a
-    sweep adds nothing (that last sweep doubles as the closure check).
-    Deterministic: seed order first, then discovery order.
+    Round k sets V_k = V_{k-1} + [V_{k-1}, V_{k-1}], until V_k is all of
+    gl(n) or a round adds nothing (that last round doubles as the closure
+    check).  A pair of spanning elements is bracketed once, in the round
+    after its newer member joined.  The basis is canonical, so the result
+    does not depend on the bracket order.
     """
     if not seed:
         raise ValueError("seed must be nonempty")
@@ -65,26 +60,25 @@ def subalgebra_closure(seed: Sequence[Matrix]) -> ClosureResult:
     if any(m.n != n for m in seed):
         raise ValueError("seed matrices must share a dimension")
     basis = SpanBasis(n)
-    spanning: list[list[list[int]]] = []
+    old: list[dict] = []
+    new: list[dict] = []  # spanning elements, grouped by row
     for m in seed:
-        if basis.insert(m):
-            spanning.append(_int_matrix(m))
-
-    full = n * n
+        v = _int_flatten(m)
+        if basis.insert_flat(v):
+            new.append(_by_row(v, n))
     rounds = 0
-    while basis.rank < full:
+    while basis.rank < n * n:
         rounds += 1
-        added = False
-        snapshot = list(spanning)
-        for i in range(len(snapshot)):
-            for j in range(i + 1, len(snapshot)):
-                c = _int_bracket(snapshot[i], snapshot[j])
-                flat = [x for row in c for x in row]
-                if any(flat) and basis.insert_flat(flat):
-                    spanning.append(_int_primitive(c))
-                    added = True
-        if not added:
+        found = []
+        for i, a in enumerate(new):
+            for b in itertools.chain(old, new[i + 1 :]):
+                c = _sparse_bracket(a, b, n)
+                if c and basis.insert_flat(c):
+                    found.append(_by_row(c, n))
+        if not found:
             break
+        old += new
+        new = found
     return ClosureResult(basis=basis, dim=basis.rank, rounds=rounds)
 
 

@@ -198,35 +198,41 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
 
 
-def _primitive(v: list[int]) -> list[int]:
-    g = 0
-    for x in v:
-        g = math.gcd(g, x)
-        if g == 1:
-            return v
-    return v if g <= 1 else [x // g for x in v]
+def _primitive(v: dict[int, int]) -> dict[int, int]:
+    g = math.gcd(*v.values())
+    return v if g <= 1 else {k: x // g for k, x in v.items()}
 
 
-def _int_flatten(m: Matrix) -> list[int]:
-    """Flatten row-major, clear denominators, remove content."""
+def _int_flatten(m: Matrix) -> dict[int, int]:
+    """Nonzero entries by row-major index, denominators cleared, content removed."""
     flat = m.flatten()
-    den = math.lcm(*(x.denominator for x in flat)) if flat else 1
-    return _primitive([int(x * den) for x in flat])
+    den = math.lcm(*(x.denominator for x in flat))
+    return _primitive({k: int(x * den) for k, x in enumerate(flat) if x})
+
+
+def _eliminate(v: dict[int, int], row: dict[int, int], p: int) -> dict[int, int]:
+    """A positive multiple of v minus a multiple of row, zero at p (row[p] > 0)."""
+    g = math.gcd(row[p], v[p])
+    a, b = row[p] // g, v[p] // g
+    out = {k: x * a for k, x in v.items()}
+    for k, x in row.items():
+        out[k] = out.get(k, 0) - x * b
+    return {k: x for k, x in out.items() if x}
 
 
 class SpanBasis:
     """Row-reduced basis of a subspace of n-by-n matrices.
 
-    Matrices are flattened row-major to vectors of length n^2.  Rows are
-    kept as primitive integer vectors in reduced row-echelon form with
-    positive pivots, which makes the basis canonical for a given subspace
-    and keeps all arithmetic in fast machine/bignum integers.
+    Matrices are flattened row-major to vectors of length n^2, stored sparse
+    as ``{index: int}`` of their nonzero entries.  Rows are kept as primitive
+    integer vectors in reduced row-echelon form with positive pivots, keyed
+    by pivot, which makes the basis canonical for a given subspace and keeps
+    all arithmetic in fast machine/bignum integers.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
+        self._rows: dict[int, dict[int, int]] = {}  # by pivot
 
     @property
     def rank(self) -> int:
@@ -234,67 +240,64 @@ class SpanBasis:
 
     @property
     def pivots(self) -> list[int]:
-        return list(self._pivots)
+        return sorted(self._rows)
 
-    def _check(self, length: int) -> None:
-        if length != self.n * self.n:
+    def _flatten(self, m: Matrix) -> dict[int, int]:
+        if m.n != self.n:
             raise ValueError(f"dimension mismatch: expected n={self.n}")
+        return _int_flatten(m)
 
-    def _reduce(self, v: list[int]) -> list[int]:
-        for p, row in zip(self._pivots, self._rows):
-            vp = v[p]
-            if vp:
-                rp = row[p]
-                v = [a * rp - b * vp for a, b in zip(v, row)]
+    def _reduce(self, v: dict[int, int]) -> dict[int, int]:
+        # every row is zero at the other pivots, so clearing one pivot of v
+        # creates no entry at another
+        for p in [k for k in v if k in self._rows]:
+            v = _eliminate(v, self._rows[p], p)
         return v
 
     def reduce(self, m: Matrix) -> list[int]:
         """Remainder of m after reduction against the basis (zero iff in span)."""
-        v = _int_flatten(m)
-        self._check(len(v))
-        return _primitive(self._reduce(v))
+        v = _primitive(self._reduce(self._flatten(m)))
+        return [v.get(k, 0) for k in range(self.n * self.n)]
 
     def contains(self, m: Matrix) -> bool:
         return all(x == 0 for x in self.reduce(m))
 
     def insert(self, m: Matrix) -> bool:
-        return self.insert_flat(_int_flatten(m))
+        return self.insert_flat(self._flatten(m))
 
-    def insert_flat(self, v: list[int]) -> bool:
-        """Insert an integer row vector; returns True iff the rank grew."""
-        self._check(len(v))
-        v = self._reduce(v)
-        piv = next((k for k, x in enumerate(v) if x), None)
-        if piv is None:
+    def insert_flat(self, v: Union[Sequence[int], dict[int, int]]) -> bool:
+        """Insert an integer row vector, dense (length n^2) or sparse
+        (``{row-major index: int}``); returns True iff the rank grew."""
+        size = self.n * self.n
+        if not isinstance(v, dict):
+            if len(v) != size:
+                raise ValueError(f"dimension mismatch: expected n={self.n}")
+            v = dict(enumerate(v))
+        if any(not 0 <= k < size for k in v):
+            raise ValueError(f"index out of range for n={self.n}")
+        v = self._reduce({k: x for k, x in v.items() if x})
+        if not v:
             return False
-        if v[piv] < 0:
-            v = [-x for x in v]
-        v = _primitive(v)
-        # keep reduced echelon form: clear the new pivot column above
-        for idx, row in enumerate(self._rows):
-            rp = row[piv]
-            if rp:
-                self._rows[idx] = _primitive(
-                    [a * v[piv] - b * rp for a, b in zip(row, v)]
-                )
-        pos = next(
-            (k for k, p in enumerate(self._pivots) if p > piv), len(self._pivots)
-        )
-        self._rows.insert(pos, v)
-        self._pivots.insert(pos, piv)
+        piv = min(v)
+        v = _primitive({k: -x for k, x in v.items()} if v[piv] < 0 else v)
+        # keep reduced echelon form: clear the new pivot column in every row
+        for p, row in self._rows.items():
+            if piv in row:
+                self._rows[p] = _primitive(_eliminate(row, v, piv))
+        self._rows[piv] = v
         return True
 
     def copy(self) -> "SpanBasis":
         dup = SpanBasis(self.n)
-        dup._rows = [list(r) for r in self._rows]
-        dup._pivots = list(self._pivots)
+        dup._rows = dict(self._rows)  # rows are replaced, never changed in place
         return dup
 
     def matrices(self) -> list[Matrix]:
-        """The basis rows, unflattened back to matrices."""
+        """The basis rows in pivot order, unflattened back to matrices."""
         n = self.n
         return [
-            Matrix([row[i * n : (i + 1) * n] for i in range(n)]) for row in self._rows
+            Matrix([[row.get(i * n + j, 0) for j in range(n)] for i in range(n)])
+            for row in map(self._rows.get, self.pivots)
         ]
 
 

@@ -182,3 +182,48 @@ class TestThin:
     def test_uncertified_exits_1(self, capsys):
         code, doc = run(capsys, "thin", "--n", "4", "--q", "1", "--s", "3")
         assert code == 1 and doc["warning"]
+
+
+def run_bad(capsys, *args):
+    """Exit code of an invocation that must fail as bad input, with its message."""
+    code = main(list(args))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("liegen: error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return code, captured.err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["gen", "classify"])
+    @pytest.mark.parametrize("b", ["1,2", "1,2,3,4"])
+    def test_b_vector_of_wrong_length_exits_2(self, capsys, command, b):
+        code, err = run_bad(capsys, command, "--family", "lower", "--n", "4", "--b", b)
+        assert code == 2 and "b-vector length must be n - 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["exp", "--kind", "upper", "--n", "3", "--t", "1/0"],
+        ["classify", "--family", "lower", "--n", "3", "--b", "1/0,2"],
+    ])
+    def test_zero_denominator_exits_2(self, capsys, argv):
+        code, _ = run_bad(capsys, *argv)
+        assert code == 2
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        "entries",
+        {"rows": 2, "cols": 2, "entries": "12"},
+        {"rows": 2, "cols": 2, "entries": [[1, 0], 5]},
+        {"rows": 1, "cols": 1, "entries": [[None]]},
+        {"rows": 1, "cols": 1, "entries": [[[1]]]},
+    ])
+    def test_closure_document_of_wrong_shape_exits_2(self, capsys, tmp_path, doc):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(doc))
+        code, _ = run_bad(capsys, "closure", str(f))
+        assert code == 2
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"rows": 1, "cols": 1, "entries": [1]}])
+    def test_matrix_from_doc_raises_value_error(self, doc):
+        with pytest.raises(ValueError):
+            matrix_from_doc(doc)

@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
 from liegen.closure import (
@@ -189,3 +193,170 @@ class TestClassify:
             p = shift_pair(n, family)
             res = subalgebra_closure([p.first, p.second])
             assert classify(n, res) == predicted_type(family, n)
+
+
+# ---------------------------------------------------------------- reference closure
+#
+# A test-local oracle that shares no code with SpanBasis or the sparse integer
+# bracket: the full pairwise sweep (every pair of the spanning set rebracketed
+# in every round) on dense Fraction matrices, with its own Fraction row
+# reduction.  Its echelon rows are scaled to primitive integer rows with a
+# positive pivot, which is the canonical form SpanBasis promises.
+
+
+class ReferenceSpan:
+    """Reduced row echelon basis over Fraction, each pivot equal to 1."""
+
+    def __init__(self, n):
+        self.n = n
+        self.rows = {}  # pivot -> dense row of length n^2
+
+    def insert_vector(self, v):
+        v = [Fraction(x) for x in v]
+        for p, row in self.rows.items():
+            if v[p]:
+                c = v[p]
+                v = [a - c * b if b else a for a, b in zip(v, row)]
+        piv = next((k for k, x in enumerate(v) if x), None)
+        if piv is None:
+            return False
+        v = [x / v[piv] for x in v]
+        for p, row in self.rows.items():
+            if row[piv]:
+                c = row[piv]
+                self.rows[p] = [a - c * b if b else a for a, b in zip(row, v)]
+        self.rows[piv] = v
+        return True
+
+    def insert(self, m):
+        return self.insert_vector(m.flatten())
+
+    def matrices(self):
+        n = self.n
+        out = []
+        for p in sorted(self.rows):
+            row = self.rows[p]
+            den = math.lcm(*(x.denominator for x in row))
+            ints = [int(x * den) for x in row]
+            g = math.gcd(*ints)
+            out.append(Matrix([[x // g for x in ints[i * n : (i + 1) * n]]
+                               for i in range(n)]))
+        return out
+
+
+def reference_closure(seed):
+    """(basis, rounds) of the full pairwise sweep, round for round.
+
+    Brackets are memoized by pair (the spanning list only grows), which
+    saves arithmetic but inserts every pair's bracket again in every round.
+    """
+    n = seed[0].n
+    basis = ReferenceSpan(n)
+    spanning = [m for m in seed if basis.insert(m)]
+    brackets = {}
+    rounds = 0
+    while len(basis.rows) < n * n:
+        rounds += 1
+        snapshot = list(spanning)
+        added = False
+        for i in range(len(snapshot)):
+            for j in range(i + 1, len(snapshot)):
+                if (i, j) not in brackets:
+                    brackets[i, j] = bracket(snapshot[i], snapshot[j])
+                c = brackets[i, j]
+                if basis.insert(c):
+                    spanning.append(c)
+                    added = True
+        if not added:
+            break
+    return basis, rounds
+
+
+def assert_matches_reference(seed):
+    res = subalgebra_closure(seed)
+    ref, rounds = reference_closure(seed)
+    assert res.dim == len(ref.rows)
+    assert res.rounds == rounds
+    assert res.basis.matrices() == ref.matrices()
+
+
+def random_rational_matrix(rng, n):
+    return Matrix(
+        [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.5 else 0
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
+class TestClosureMatchesReference:
+    @pytest.mark.parametrize(
+        "family,n",
+        [(FAMILY_CORNER, n) for n in range(3, 8)]
+        + [(FAMILY_DOUBLE_CORNER, n) for n in range(4, 8)],
+    )
+    def test_shift_pairs(self, family, n):
+        p = shift_pair(n, family)
+        assert_matches_reference([p.first, p.second])
+
+    def test_g2(self):
+        p = g2_pair()
+        assert_matches_reference([p.first, p.second])
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_doubling_lower(self, n):
+        p = lower_pair(doubling_bvector(n))
+        assert_matches_reference([p.first, p.second])
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_random_lower(self, k):
+        rng = random.Random(100 + k)
+        n = rng.randint(3, 5)
+        b = tuple(rng.choice([x for x in range(-30, 31) if x]) for _ in range(n - 1))
+        p = lower_pair(b)
+        assert_matches_reference([p.first, p.second])
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_random_rational_seeds(self, k):
+        """Not homogeneous under the principal grading; some third seed
+        matrices lie in the span of the first two."""
+        rng = random.Random(200 + k)
+        n = 3 + k % 2
+        seed = [random_rational_matrix(rng, n) for _ in range(2)]
+        if k % 3 == 1:
+            seed.append(random_rational_matrix(rng, n))
+        elif k % 3 == 2:
+            seed.append(Fraction(rng.randint(1, 5), 2) * seed[0] - seed[1])
+        assert_matches_reference(seed)
+
+
+class TestSpanBasisMatchesReference:
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_random_insert_sequences(self, k, form):
+        rng = random.Random(300 + k)
+        n = 2 + k % 3
+        size = n * n
+        basis, ref = SpanBasis(n), ReferenceSpan(n)
+        seen = []
+        for _ in range(3 * size):
+            if seen and rng.random() < 0.3:  # an integer combination of earlier rows
+                ws = rng.sample(seen, min(2, len(seen)))
+                cs = [rng.randint(-3, 3) for _ in ws]
+                v = [sum(c * w[i] for c, w in zip(cs, ws)) for i in range(size)]
+            else:
+                v = [rng.randint(-20, 20) if rng.random() < 0.3 else 0 for _ in range(size)]
+            seen.append(v)
+            arg = v if form == "dense" else {i: x for i, x in enumerate(v) if x}
+            assert basis.insert_flat(arg) == ref.insert_vector(v)
+            assert basis.rank == len(ref.rows)
+            assert basis.pivots == sorted(ref.rows)
+        assert basis.matrices() == ref.matrices()
+        assert basis.copy().matrices() == ref.matrices()
+        mats = ref.matrices()
+        inside = mats[0] - Fraction(3, 2) * mats[-1]
+        for probe in (inside, random_rational_matrix(rng, n)):
+            trial = ReferenceSpan(n)
+            trial.rows = dict(ref.rows)
+            assert basis.contains(probe) == (not trial.insert(probe))

@@ -137,6 +137,17 @@ class TestSpanBasis:
         with pytest.raises(ValueError):
             SpanBasis(2).insert(Matrix.identity(3))
 
+    @pytest.mark.parametrize("bad", [
+        lambda sb: sb.insert(Matrix.identity(1)),
+        lambda sb: sb.reduce(Matrix.identity(1)),
+        lambda sb: sb.insert_flat([1, 2, 3]),
+        lambda sb: sb.insert_flat({4: 1}),
+        lambda sb: sb.insert_flat({-1: 1}),
+    ])
+    def test_wrong_size_rejected(self, bad):
+        with pytest.raises(ValueError):
+            bad(SpanBasis(2))
+
     def test_matrices_roundtrip(self):
         sb = SpanBasis(2)
         m = Matrix([[1, 2], [3, 4]])

@@ -1,0 +1,119 @@
+"""Byte-identical CLI output on a golden set of invocations.
+
+``golden_cli.json`` holds the exit code and the exact standard output of
+``liegen.cli.main`` for every CLI example in the README, ``classify`` of
+every corner and double corner shape with n <= 8, G2 and the lower doubling
+pairs with n = 3..6, one ``certify`` per family and two-file ``closure``
+runs.  A change that means to keep the output (a refactor or a speed-up)
+must leave every entry as it is, ``rounds`` included.
+
+Regenerate the file only when a change of output is intended:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+
+import pytest
+
+from liegen.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+
+# Matrix documents for the ``closure`` cases, written to files at test time.
+# "corner3_*" is the corner pair in gl(3); "rat3_*" is a rational pair that
+# is not homogeneous under the principal grading.
+FILES = {
+    "corner3_x.json": {
+        "rows": 3, "cols": 3,
+        "entries": [["0", "1", "0"], ["0", "0", "1"], ["0", "0", "0"]],
+    },
+    "corner3_y.json": {
+        "rows": 3, "cols": 3,
+        "entries": [["0", "0", "0"], ["0", "0", "0"], ["1", "0", "0"]],
+    },
+    "rat3_a.json": {
+        "rows": 3, "cols": 3,
+        "entries": [["1/2", "1", "0"], ["0", "0", "2"], ["3", "0", "-1/2"]],
+    },
+    "rat3_b.json": {
+        "rows": 3, "cols": 3,
+        "entries": [["0", "0", "1"], ["1", "0", "0"], ["0", "-1/3", "0"]],
+    },
+}
+
+README = [
+    ["gen", "--family", "corner", "--n", "3"],
+    ["gen", "--family", "lower", "--n", "4", "--b", "doubling"],
+    ["classify", "--family", "double_corner", "--n", "7"],
+    ["closure", "corner3_x.json", "corner3_y.json"],
+    ["bounds", "--family", "g2"],
+    ["exp", "--kind", "upper", "--n", "4", "--t", "1/3"],
+    ["certify", "--family", "corner", "--n", "4", "--t", "8", "--s", "3"],
+    ["scan", "--n", "2", "--t", "3", "--s", "3", "--max-syll", "6", "--max-exp", "3"],
+    ["thin", "--n", "3", "--q", "3", "--s", "3"],
+]
+CASES_WITH_REPEATS = (
+    README
+    + [["classify", "--family", "corner", "--n", str(n)] for n in range(3, 9)]
+    + [["classify", "--family", "double_corner", "--n", str(n)] for n in range(4, 9)]
+    + [["classify", "--family", "g2"]]
+    + [
+        ["classify", "--family", "lower", "--n", str(n), "--b", "doubling"]
+        for n in range(3, 7)
+    ]
+    + [
+        ["certify", "--family", "lower", "--n", "4", "--b", "doubling",
+         "--t", "9", "--r", "5"],
+        ["certify", "--family", "g2", "--t", "17", "--r", "17"],
+        ["closure", "rat3_a.json", "rat3_b.json"],
+    ]
+)
+CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())
+
+
+def run_case(argv: list[str], directory: pathlib.Path) -> tuple[int, str]:
+    """Exit code and standard output of one invocation; file names resolve
+    inside ``directory``."""
+    for name, doc in FILES.items():
+        (directory / name).write_text(json.dumps(doc))
+    args = [str(directory / a) if a in FILES else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    return code, out.getvalue()
+
+
+def _golden() -> dict[str, dict]:
+    return {" ".join(c["argv"]): c for c in json.loads(GOLDEN.read_text())}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_output_is_byte_identical(argv, tmp_path, monkeypatch):
+    monkeypatch.delenv("LIEGEN_DEFAULT_WIDTH", raising=False)
+    expected = _golden()[" ".join(argv)]
+    code, stdout = run_case(argv, tmp_path)
+    assert code == expected["exit"]
+    assert stdout == expected["stdout"]
+
+
+def test_golden_file_covers_every_case():
+    assert sorted(_golden()) == sorted(" ".join(a) for a in CASES)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    os.environ.pop("LIEGEN_DEFAULT_WIDTH", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        records = []
+        for argv in CASES:
+            code, stdout = run_case(argv, pathlib.Path(tmp))
+            records.append({"argv": argv, "exit": code, "stdout": stdout})
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
