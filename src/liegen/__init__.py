@@ -6,17 +6,16 @@ from .exact import (
     DEFAULT_WIDTH,
     Matrix,
     Polynomial,
-    Rational,
     RootBracket,
     SpanBasis,
     bracket,
     isolate_largest_positive_root,
-    span_insert,
 )
 from .generators import (
     CanonicalGenerators,
     CriterionResult,
     GeneratorPair,
+    build_pair,
     diagram_automorphism,
     doubling_bvector,
     g2_canonical,
@@ -38,7 +37,6 @@ from .closure import (
 )
 from .groups import (
     FormMatrix,
-    GroupElement,
     ScanReport,
     ThinPair,
     Word,
@@ -63,5 +61,6 @@ from .pingpong import (
     pingpong_spotcheck,
     r_inequalities,
     s0,
+    second_bound,
     t_inequality,
 )

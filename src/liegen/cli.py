@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -21,11 +20,8 @@ from .generators import (
     FAMILY_DOUBLE_CORNER,
     FAMILY_G2,
     FAMILY_LOWER,
-    G2_LOWER_B,
+    build_pair,
     doubling_bvector,
-    g2_pair,
-    lower_pair,
-    shift_pair,
 )
 from .closure import classify, subalgebra_closure
 from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
@@ -34,9 +30,9 @@ from .pingpong import (
     Certificate,
     PingPongBound,
     certify_free_dense,
-    compute_r0,
     compute_t0,
     s0,
+    second_bound,
 )
 
 _FAMILY_ALIASES = {
@@ -66,10 +62,9 @@ def matrix_from_doc(doc: dict) -> Matrix:
         raise ValueError("matrix entries must be a list of lists")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("matrix document dimensions inconsistent")
-    try:
-        return Matrix([[Fraction(x) for x in row] for row in entries])
-    except TypeError:
-        raise ValueError("matrix entries must be numbers or fraction strings") from None
+    if any(type(x) not in (int, str) for row in entries for x in row):
+        raise ValueError("matrix entries must be integers or fraction strings")
+    return Matrix([[Fraction(x) for x in row] for row in entries])
 
 
 def _poly_doc(p: Polynomial) -> dict:
@@ -99,6 +94,13 @@ def _bound_doc(bound: PingPongBound) -> dict:
     }
 
 
+def _add_second_bound(doc: dict, bound: Optional[PingPongBound]) -> None:
+    if bound is None:
+        doc["s0"] = str(s0())
+    else:
+        doc["r"] = _bound_doc(bound)
+
+
 def _emit(doc: dict) -> None:
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -113,23 +115,25 @@ def _parse_b(spec: str, n: int) -> tuple[Fraction, ...]:
     return b
 
 
-def _build_pair(family: str, n: Optional[int], b_spec: Optional[str]):
-    if family == FAMILY_G2:
-        return g2_pair()
-    if n is None:
+def _family_size(args: argparse.Namespace) -> tuple[int, Optional[tuple[Fraction, ...]]]:
+    """The matrix size and the b-vector of a family invocation.
+
+    G2 is 7x7, every other family needs --n, and the lower family takes
+    --b (default "doubling").
+    """
+    if args.family == FAMILY_G2:
+        if args.n not in (None, 7):
+            raise ValueError("the G2 family lives in dimension 7")
+        return 7, None
+    if args.n is None:
         raise ValueError("--n is required for this family")
-    if family == FAMILY_LOWER:
-        return lower_pair(_parse_b(b_spec or "doubling", n))
-    return shift_pair(n, family)
-
-
-def _default_width() -> Fraction:
-    spec = os.environ.get("LIEGEN_DEFAULT_WIDTH")
-    return Fraction(spec) if spec else DEFAULT_WIDTH
+    if args.family == FAMILY_LOWER:
+        return args.n, _parse_b(args.b or "doubling", args.n)
+    return args.n, None
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    pair = _build_pair(args.family, args.n, args.b)
+    pair = build_pair(args.family, *_family_size(args))
     doc = {
         "family": pair.family,
         "n": pair.n,
@@ -166,7 +170,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    pair = _build_pair(args.family, args.n, args.b)
+    pair = build_pair(args.family, *_family_size(args))
     doc, code = cmd_gen_or_closure_report([pair.first, pair.second], pair.n)
     doc["family"] = pair.family
     doc["n"] = pair.n
@@ -175,31 +179,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    width = Fraction(args.width) if args.width else _default_width()
-    doc: dict = {"width": str(width)}
-    if args.family == FAMILY_G2:
-        doc["family"] = FAMILY_G2
-        doc["n"] = 7
-        doc["t"] = _bound_doc(compute_t0(7, width))
-        doc["r"] = _bound_doc(compute_r0(7, G2_LOWER_B, width))
-    elif args.family == FAMILY_LOWER:
-        if args.n is None:
-            raise ValueError("--n is required")
-        b = _parse_b(args.b or "doubling", args.n)
-        doc["family"] = FAMILY_LOWER
-        doc["n"] = args.n
+    n, b = _family_size(args)
+    width = Fraction(args.width) if args.width else DEFAULT_WIDTH
+    doc: dict = {"width": str(width), "family": args.family, "n": n}
+    if b is not None:
         doc["b"] = [str(x) for x in b]
-        doc["t"] = _bound_doc(compute_t0(args.n, width))
-        doc["r"] = _bound_doc(compute_r0(args.n, b, width))
-    elif args.family == FAMILY_CORNER:
-        if args.n is None:
-            raise ValueError("--n is required")
-        doc["family"] = FAMILY_CORNER
-        doc["n"] = args.n
-        doc["t"] = _bound_doc(compute_t0(args.n, width))
-        doc["s0"] = str(s0())
-    else:
-        raise ValueError(f"no bounds are defined for family {args.family!r}")
+    doc["t"] = _bound_doc(compute_t0(n, width))
+    _add_second_bound(doc, second_bound(args.family, n, b, width))
     _emit(doc)
     return 0
 
@@ -218,7 +204,7 @@ def cmd_exp(args: argparse.Namespace) -> int:
             raise ValueError("--r is required for kind lower")
         b = _parse_b(args.b or "doubling", args.n)
         g = exp_lower(Fraction(args.r), b)
-    _emit({"kind": args.kind, "n": args.n, "matrix": matrix_to_doc(g.matrix)})
+    _emit({"kind": args.kind, "n": args.n, "matrix": matrix_to_doc(g)})
     return 0
 
 
@@ -248,29 +234,13 @@ def certificate_to_doc(cert: Certificate, width: Fraction) -> dict:
         "bounds": {"t": _bound_doc(cert.t_bound)},
         "conclusion": cert.conclusion,
     }
-    if cert.second_bound is not None:
-        doc["bounds"][cert.second_bound_kind] = _bound_doc(cert.second_bound)
-    else:
-        doc["bounds"]["s0"] = str(s0())
+    _add_second_bound(doc["bounds"], cert.second_bound)
     return doc
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    width = Fraction(args.width) if args.width else _default_width()
-    if args.family == FAMILY_CORNER and args.s is None:
-        raise ValueError("corner family needs --s")
-    if args.family in (FAMILY_LOWER, FAMILY_G2) and args.r is None:
-        raise ValueError(f"{args.family} needs --r")
-    b = None
-    n = args.n
-    if args.family == FAMILY_LOWER:
-        if n is None:
-            raise ValueError("--n is required")
-        b = _parse_b(args.b or "doubling", n)
-    if args.family == FAMILY_G2:
-        n = 7
-    if n is None:
-        raise ValueError("--n is required")
+    n, b = _family_size(args)
+    width = Fraction(args.width) if args.width else DEFAULT_WIDTH
     cert = certify_free_dense(
         n,
         args.family,
@@ -304,7 +274,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "max_exponent": report.max_exponent,
         "words_checked": report.words_checked,
         "collisions": [list(w.syllables) for w in report.collisions],
-        "seed": args.seed,
     }
     _emit(doc)
     return 0 if report.clean else 1
@@ -391,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b")
     p.add_argument("--max-syll", type=int, default=4)
     p.add_argument("--max-exp", type=int, default=2)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("thin", help="integer thin-subgroup generator pair")

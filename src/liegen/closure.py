@@ -13,6 +13,7 @@ from .generators import (
     FAMILY_CORNER,
     FAMILY_DOUBLE_CORNER,
     FAMILY_G2,
+    FAMILY_LOWER,
 )
 
 
@@ -122,7 +123,14 @@ def classify(n: int, result: ClosureResult) -> TypeLabel:
 
 
 def predicted_type(family: str, n: int) -> TypeLabel:
-    """The type the generator pair is known to produce."""
+    """The type the generator pair is known to produce.
+
+    For the lower family that is sl(n), reached when b passes Proposition 2.
+    """
+    if family == FAMILY_LOWER:
+        if n < 3:
+            raise ValueError("lower family requires n >= 3")
+        return TypeLabel(family="A", rank=n - 1, dim=n * n - 1)
     if family == FAMILY_CORNER:
         if n < 3:
             raise ValueError("corner family requires n >= 3")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 #: Default width of certified root brackets.
@@ -287,11 +286,6 @@ class SpanBasis:
         self._rows[piv] = v
         return True
 
-    def copy(self) -> "SpanBasis":
-        dup = SpanBasis(self.n)
-        dup._rows = dict(self._rows)  # rows are replaced, never changed in place
-        return dup
-
     def matrices(self) -> list[Matrix]:
         """The basis rows in pivot order, unflattened back to matrices."""
         n = self.n
@@ -299,13 +293,6 @@ class SpanBasis:
             Matrix([[row.get(i * n + j, 0) for j in range(n)] for i in range(n)])
             for row in map(self._rows.get, self.pivots)
         ]
-
-
-def span_insert(basis: SpanBasis, m: Matrix) -> tuple[SpanBasis, bool]:
-    """Non-mutating insert: returns (new basis, True iff the rank grew)."""
-    out = basis.copy()
-    grew = out.insert(m)
-    return out, grew
 
 
 class Polynomial:
@@ -386,6 +373,8 @@ def isolate_largest_positive_root(
     certifies p > 0 on (0, oo), or when no sign change is found even after
     grid refinement.
     """
+    if width <= 0:
+        raise ValueError("root bracket width must be positive")
     if p.is_zero():
         raise ValueError("zero polynomial has no root bracket")
     cs = p.coefficients

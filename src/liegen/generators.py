@@ -70,23 +70,12 @@ def lower_pair(b: Sequence[Scalar]) -> GeneratorPair:
     return GeneratorPair(n=n, first=shift_matrix(n), second=z, family=FAMILY_LOWER, b=bs)
 
 
-def doubling_bvector(n: int, size_convention: str = "matrix") -> tuple[Fraction, ...]:
-    """The b-vector with entries b_i = 2^{n-1} + ... + 2^{n-i}.
-
-    ``size_convention`` picks the meaning of the exponent base: "matrix"
-    uses the matrix size n (so n=4 gives (8, 12, 14)), "rank" uses the
-    rank n-1 instead, halving every entry.
-    """
+def doubling_bvector(n: int) -> tuple[Fraction, ...]:
+    """The b-vector with entries b_i = 2^{n-1} + ... + 2^{n-i}; n=4 gives (8, 12, 14)."""
     if n < 3:
         raise ValueError("doubling b-vector requires n >= 3")
-    if size_convention == "matrix":
-        base = n
-    elif size_convention == "rank":
-        base = n - 1
-    else:
-        raise ValueError(f"unknown size convention {size_convention!r}")
     return tuple(
-        Fraction(sum(2 ** (base - j) for j in range(1, i + 1))) for i in range(1, n)
+        Fraction(sum(2 ** (n - j) for j in range(1, i + 1))) for i in range(1, n)
     )
 
 
@@ -103,6 +92,19 @@ def g2_pair() -> GeneratorPair:
     """The G2 pair: x = x1 + x2 (the full shift) and z = -y1 + y2."""
     x1, x2, y1, y2 = g2_pieces()
     return GeneratorPair(n=7, first=x1 + x2, second=-y1 + y2, family=FAMILY_G2)
+
+
+def build_pair(family: str, n: int, b: Optional[Sequence[Scalar]] = None) -> GeneratorPair:
+    """The n x n generator pair of a family; the lower family is built from b."""
+    if family == FAMILY_G2:
+        if n != 7:
+            raise ValueError("the G2 family lives in dimension 7")
+        return g2_pair()
+    if family == FAMILY_LOWER:
+        if b is None or len(b) != n - 1:
+            raise ValueError("the lower family needs a b-vector of length n - 1")
+        return lower_pair(b)
+    return shift_pair(n, family)
 
 
 #: b-vector of the G2 second generator z, read off its subdiagonal.

@@ -10,24 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exact import Matrix, Scalar, _rat
 from .generators import diagram_automorphism
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A group matrix, optionally remembering the word that produced it."""
-
-    matrix: Matrix
-    provenance: Optional["Word"] = None
-
-    def det(self) -> Fraction:
-        return self.matrix.det()
-
-
-def exp_upper(t: Scalar, n: int) -> GroupElement:
+def exp_upper(t: Scalar, n: int) -> Matrix:
     """a(t) = exp(t x): unipotent upper triangular, entry (i,j) = t^{j-i}/(j-i)!."""
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -39,14 +28,14 @@ def exp_upper(t: Scalar, n: int) -> GroupElement:
         ]
         for i in range(n)
     ]
-    return GroupElement(Matrix(rows))
+    return Matrix(rows)
 
 
-def exp_corner(s: Scalar, n: int) -> GroupElement:
+def exp_corner(s: Scalar, n: int) -> Matrix:
     """b(s) = exp(s e_{n,1}) = identity plus s in the lower-left corner."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    return GroupElement(Matrix.identity(n) + Matrix.unit(n, n, 1, _rat(s)))
+    return Matrix.identity(n) + Matrix.unit(n, n, 1, _rat(s))
 
 
 def lower_coefficient(b: Sequence[Fraction], j: int, d: int) -> Fraction:
@@ -57,7 +46,7 @@ def lower_coefficient(b: Sequence[Fraction], j: int, d: int) -> Fraction:
     return out
 
 
-def exp_lower(r: Scalar, b: Sequence[Scalar]) -> GroupElement:
+def exp_lower(r: Scalar, b: Sequence[Scalar]) -> Matrix:
     """c(r) = exp(r z) for z = sum b_i e_{i+1,i}; entries from the product rule."""
     bs = [_rat(x) for x in b]
     if any(x == 0 for x in bs):
@@ -71,10 +60,10 @@ def exp_lower(r: Scalar, b: Sequence[Scalar]) -> GroupElement:
             rows[j - 1][i - 1] = (
                 lower_coefficient(bs, j, d) * r**d / math.factorial(d)
             )
-    return GroupElement(Matrix(rows))
+    return Matrix(rows)
 
 
-def exp_nilpotent(m: Matrix, t: Scalar) -> GroupElement:
+def exp_nilpotent(m: Matrix, t: Scalar) -> Matrix:
     """exp(t m) for nilpotent m, by the (finite) exponential series."""
     idx = m.nilpotency_index()
     if idx is None:
@@ -85,7 +74,7 @@ def exp_nilpotent(m: Matrix, t: Scalar) -> GroupElement:
     for k in range(1, idx):
         power = power * m
         total = total + (t**k / math.factorial(k)) * power
-    return GroupElement(total)
+    return total
 
 
 @dataclass(frozen=True)
@@ -115,43 +104,9 @@ class Word:
 GeneratorMap = Callable[[int], Matrix]
 
 
-def one_parameter_power(gen: Callable[[Scalar], GroupElement], param: Scalar) -> GeneratorMap:
+def one_parameter_power(gen: Callable[[Scalar], Matrix], param: Scalar) -> GeneratorMap:
     """Power map m -> gen(m * param) for a one-parameter subgroup."""
-    return lambda m: gen(m * _rat(param)).matrix
-
-
-def generic_power(g: Matrix) -> GeneratorMap:
-    """Power map m -> g^m by binary exponentiation (negative m via inverse)."""
-    inv: Optional[Matrix] = None
-
-    def powered(m: int) -> Matrix:
-        nonlocal inv
-        if m >= 0:
-            return g**m
-        if inv is None:
-            inv = _invert_unimodular(g)
-        return inv ** (-m)
-
-    return powered
-
-
-def _invert_unimodular(g: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination."""
-    n = g.n
-    a = [list(row) + [Fraction(1) if i == k else Fraction(0) for k in range(n)]
-         for i, row in enumerate(g.rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                fr = a[r][col]
-                a[r] = [x - fr * y for x, y in zip(a[r], a[col])]
-    return Matrix([row[n:] for row in a])
+    return lambda m: gen(m * _rat(param))
 
 
 def word_eval(word: Word, gen_a: GeneratorMap, gen_b: GeneratorMap) -> Matrix:
@@ -277,8 +232,8 @@ def thin_pair(n: int, q: int, s: int) -> ThinPair:
     from .pingpong import compute_t0, s0
 
     t = math.factorial(n - 1) * q
-    a = exp_upper(t, n).matrix
-    bmat = exp_corner(s, n).matrix
+    a = exp_upper(t, n)
+    bmat = exp_corner(s, n)
     assert all(x.denominator == 1 for x in a.flatten())
     t_safe = compute_t0(n).safe_value
     warning = None
@@ -290,33 +245,6 @@ def thin_pair(n: int, q: int, s: int) -> ThinPair:
         n=n, t=t, s=s, first=a, second=bmat,
         certified=warning is None, warning=warning,
     )
-
-
-def thin_lower_pair(q: int, r: int) -> tuple[ThinPair, Sequence[Fraction]]:
-    """Integer pair a(6q), c(r) in SL(4, Z) for the doubling b-vector.
-
-    Only the n = 4 instance with t in 6Z is emitted; certification requires
-    |t| and |r| to clear the computed bounds.
-    """
-    from .generators import doubling_bvector
-    from .pingpong import compute_r0, compute_t0
-
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    b = doubling_bvector(4)
-    t = 6 * q
-    a = exp_upper(t, 4).matrix
-    c = exp_lower(r, b).matrix
-    warning = None
-    if abs(t) <= compute_t0(4).safe_value:
-        warning = f"|t| = {abs(t)} does not exceed the certified t bound"
-    elif abs(r) <= compute_r0(4, b).safe_value:
-        warning = f"|r| = {abs(r)} does not exceed the certified r bound"
-    pair = ThinPair(
-        n=4, t=t, s=r, first=a, second=c,
-        certified=warning is None, warning=warning,
-    )
-    return pair, b
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,7 @@ from .generators import (
     FAMILY_LOWER,
     G2_LOWER_B,
     GeneratorPair,
-    g2_pair,
-    lower_pair,
-    shift_pair,
+    build_pair,
 )
 from .groups import exp_corner, exp_lower, exp_upper, lower_coefficient
 
@@ -154,6 +152,22 @@ def s0() -> Fraction:
     return Fraction(2)
 
 
+def second_bound(
+    family: str, n: int, b: Optional[Sequence[Scalar]] = None, width: Fraction = DEFAULT_WIDTH
+) -> Optional[PingPongBound]:
+    """Bound on the second generator's parameter: r0 for the lower and G2
+    families, None for the corner family, whose threshold is s0 = 2."""
+    if family == FAMILY_CORNER:
+        return None
+    if family == FAMILY_LOWER:
+        if b is None:
+            raise ValueError("the lower family needs the b-vector")
+        return compute_r0(n, b, width)
+    if family == FAMILY_G2:
+        return compute_r0(n, G2_LOWER_B, width)  # length 6: rejects any n but 7
+    raise ValueError(f"family {family!r} has no certified ping-pong bounds")
+
+
 @dataclass
 class SpotcheckReport:
     """Randomized exact check of a region inclusion at a certified parameter."""
@@ -192,17 +206,17 @@ def pingpong_spotcheck(
     if kind == "a":
         bound = compute_t0(n).safe_value
         source, target = Region("X2", n), Region("X1", n)
-        powered = lambda m: exp_upper(m * parameter, n).matrix
+        powered = lambda m: exp_upper(m * parameter, n)
     elif kind == "b":
         bound = s0()
         source, target = Region("X1", n), Region("X2", n)
-        powered = lambda m: exp_corner(m * parameter, n).matrix
+        powered = lambda m: exp_corner(m * parameter, n)
     elif kind == "c":
         if b is None:
             raise ValueError("kind 'c' needs the b-vector")
         bound = compute_r0(n, b).safe_value
         source, target = Region("X1", n), Region("X2", n)
-        powered = lambda m: exp_lower(m * parameter, b).matrix
+        powered = lambda m: exp_lower(m * parameter, b)
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
     if abs(parameter) <= bound:
@@ -245,7 +259,6 @@ class Certificate:
     type_label: TypeLabel
     target: TypeLabel
     t_bound: Optional[PingPongBound]
-    second_bound_kind: str  # "s" | "r"
     second_bound: Optional[PingPongBound]  # None when the threshold is s0 = 2
     conclusion: str
 
@@ -266,45 +279,20 @@ def certify_free_dense(
     ``insufficient`` is a valid outcome, never an error.
     """
     t = _rat(t)
-    params: dict = {"t": t}
-    if family == FAMILY_CORNER:
-        if s is None:
-            raise ValueError("corner family needs s")
-        pair = shift_pair(n, FAMILY_CORNER)
-        second_kind, second_val, second_bound = "s", _rat(s), None
-        second_threshold = s0()
-        params["s"] = second_val
-    elif family == FAMILY_LOWER:
-        if r is None or b is None:
-            raise ValueError("lower family needs r and the b-vector")
-        pair = lower_pair(b)
-        if pair.n != n:
-            raise ValueError("b-vector length must be n - 1")
-        second_kind, second_val = "r", _rat(r)
-        second_bound = compute_r0(n, b, width)
-        second_threshold = second_bound.safe_value
-        params["r"] = second_val
+    bound = second_bound(family, n, b, width)
+    second_kind, second_val = ("s", s) if bound is None else ("r", r)
+    if second_val is None:
+        raise ValueError(f"the {family} family needs {second_kind}")
+    second_val = _rat(second_val)
+    second_threshold = s0() if bound is None else bound.safe_value
+    pair = build_pair(family, n, b)
+    params: dict = {"t": t, second_kind: second_val}
+    if pair.b is not None:
         params["b"] = pair.b
-    elif family == FAMILY_G2:
-        if n != 7:
-            raise ValueError("the G2 family lives in dimension 7")
-        if r is None:
-            raise ValueError("G2 family needs r")
-        pair = g2_pair()
-        second_kind, second_val = "r", _rat(r)
-        second_bound = compute_r0(7, G2_LOWER_B, width)
-        second_threshold = second_bound.safe_value
-        params["r"] = second_val
-    else:
-        raise ValueError(f"family {family!r} has no certified ping-pong bounds")
 
     closure = subalgebra_closure([pair.first, pair.second])
     label = classify(n, closure)
-    if family == FAMILY_LOWER:
-        target = TypeLabel(family="A", rank=n - 1, dim=n * n - 1)
-    else:
-        target = predicted_type(family, n)
-
+    target = predicted_type(family, n)
     t_bound = compute_t0(n, width)
     density_ok = closure.dim == target.dim and t != 0 and second_val != 0
     freeness_ok = abs(t) > t_bound.safe_value and abs(second_val) > second_threshold
@@ -319,6 +307,5 @@ def certify_free_dense(
     return Certificate(
         n=n, family=family, parameters=params, pair=pair,
         closure=closure, type_label=label, target=target,
-        t_bound=t_bound, second_bound_kind=second_kind,
-        second_bound=second_bound, conclusion=conclusion,
+        t_bound=t_bound, second_bound=bound, conclusion=conclusion,
     )

@@ -167,7 +167,7 @@ def test_acceptance_05_pingpong_guarantees():
     except ValueError:
         pass
     v = (-99, -99, 100)
-    image = exp_upper(3, 3).matrix.apply(v)
+    image = exp_upper(3, 3).apply(v)
     if not (in_region(v, Region("X2", 3)) and not in_region(image, Region("X1", 3))
             and image == (54, 201, 100) and (3 - 1) ** 2 > 3):
         failures.append(f"(n=3, t=3) counterexample: {v} -> {image}")
@@ -218,24 +218,24 @@ def test_acceptance_07_exponential_exactness():
         y = Matrix.unit(n, n, 1)
         for _ in range(50):
             t = rand_rational(rng)
-            if exp_nilpotent(shift_matrix(n), t).matrix != exp_upper(t, n).matrix:
+            if exp_nilpotent(shift_matrix(n), t) != exp_upper(t, n):
                 failures.append(("upper", n, t))
-            if exp_nilpotent(y, t).matrix != exp_corner(t, n).matrix:
+            if exp_nilpotent(y, t) != exp_corner(t, n):
                 failures.append(("corner", n, t))
             if b is not None:
                 z = Matrix.from_units(n, [(i + 1, i, b[i - 1]) for i in range(1, n)])
-                if exp_nilpotent(z, t).matrix != exp_lower(t, b).matrix:
+                if exp_nilpotent(z, t) != exp_lower(t, b):
                     failures.append(("lower", n, t))
         # one-parameter laws and det = 1
         t1, t2 = rand_rational(rng), rand_rational(rng)
-        if exp_upper(t1, n).matrix * exp_upper(t2, n).matrix != exp_upper(t1 + t2, n).matrix:
+        if exp_upper(t1, n) * exp_upper(t2, n) != exp_upper(t1 + t2, n):
             failures.append(("upper law", n))
-        if exp_corner(t1, n).matrix * exp_corner(t2, n).matrix != exp_corner(t1 + t2, n).matrix:
+        if exp_corner(t1, n) * exp_corner(t2, n) != exp_corner(t1 + t2, n):
             failures.append(("corner law", n))
         if exp_upper(t1, n).det() != 1 or exp_corner(t1, n).det() != 1:
             failures.append(("det", n))
         if b is not None:
-            if exp_lower(t1, b).matrix * exp_lower(t2, b).matrix != exp_lower(t1 + t2, b).matrix:
+            if exp_lower(t1, b) * exp_lower(t2, b) != exp_lower(t1 + t2, b):
                 failures.append(("lower law", n))
             if exp_lower(t1, b).det() != 1:
                 failures.append(("lower det", n))
@@ -247,7 +247,7 @@ def test_acceptance_07_exponential_exactness():
             [0, 0, 1, v],
             [0, 0, 0, 1],
         ])
-        if exp_upper(v, 4).matrix != want_a:
+        if exp_upper(v, 4) != want_a:
             failures.append(("a(t) display", v))
         want_c = Matrix([
             [1, 0, 0, 0],
@@ -255,7 +255,7 @@ def test_acceptance_07_exponential_exactness():
             [48 * v**2, 12 * v, 1, 0],
             [224 * v**3, 84 * v**2, 14 * v, 1],
         ])
-        if exp_lower(v, (8, 12, 14)).matrix != want_c:
+        if exp_lower(v, (8, 12, 14)) != want_c:
             failures.append(("c(r) display", v))
     finish(7, failures)
 

@@ -21,7 +21,7 @@ class TestMatrixDocuments:
         assert matrix_from_doc(matrix_to_doc(m)) == m
 
     def test_exact_strings(self):
-        doc = matrix_to_doc(exp_upper(Fraction(1, 3), 3).matrix)
+        doc = matrix_to_doc(exp_upper(Fraction(1, 3), 3))
         assert doc["entries"][0][2] == "1/18"
 
     def test_inconsistent_doc_rejected(self):
@@ -109,11 +109,6 @@ class TestBounds:
         assert code == 0
         assert Fraction(doc["r"]["safe_value"]) <= 1
 
-    def test_width_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("LIEGEN_DEFAULT_WIDTH", "1/16")
-        code, doc = run(capsys, "bounds", "--family", "corner", "--n", "2")
-        assert code == 0 and doc["width"] == "1/16"
-
     def test_width_flag(self, capsys):
         code, doc = run(capsys, "bounds", "--family", "corner", "--n", "3",
                         "--width", "1/32")
@@ -124,13 +119,13 @@ class TestExp:
     def test_upper(self, capsys):
         code, doc = run(capsys, "exp", "--kind", "upper", "--n", "4", "--t", "1/3")
         assert code == 0
-        assert matrix_from_doc(doc["matrix"]) == exp_upper(Fraction(1, 3), 4).matrix
+        assert matrix_from_doc(doc["matrix"]) == exp_upper(Fraction(1, 3), 4)
 
     def test_lower(self, capsys):
         code, doc = run(capsys, "exp", "--kind", "lower", "--n", "4",
                         "--r", "2", "--b", "8,12,14")
         assert code == 0
-        assert matrix_from_doc(doc["matrix"]) == exp_lower(2, (8, 12, 14)).matrix
+        assert matrix_from_doc(doc["matrix"]) == exp_lower(2, (8, 12, 14))
 
     def test_missing_parameter(self, capsys):
         code, _ = run(capsys, "exp", "--kind", "upper", "--n", "3")
@@ -227,3 +222,47 @@ class TestBadInput:
     def test_matrix_from_doc_raises_value_error(self, doc):
         with pytest.raises(ValueError):
             matrix_from_doc(doc)
+
+    @pytest.mark.parametrize("entry", [0.1, 1.0, True, False])
+    def test_float_or_bool_entry_exits_2(self, capsys, tmp_path, entry):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[0, entry], [0, 0]]}))
+        code, err = run_bad(capsys, "closure", str(f))
+        assert code == 2 and "integers or fraction strings" in err
+
+    def test_integer_and_fraction_string_entries_accepted(self):
+        doc = {"rows": 2, "cols": 2, "entries": [[1, "-2/3"], ["0.5", 0]]}
+        assert matrix_from_doc(doc) == Matrix([[1, Fraction(-2, 3)], [Fraction(1, 2), 0]])
+
+    @pytest.mark.parametrize("width", ["0", "-1", "-1/8"])
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--family", "corner", "--n", "4"],
+        ["certify", "--family", "corner", "--n", "4", "--t", "8", "--s", "3"],
+    ])
+    def test_width_not_positive_exits_2(self, capsys, argv, width):
+        code, err = run_bad(capsys, *argv, f"--width={width}")
+        assert code == 2 and "width must be positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "g2"],
+        ["classify", "--family", "g2"],
+        ["bounds", "--family", "g2"],
+        ["certify", "--family", "g2", "--t", "17", "--r", "17"],
+    ])
+    def test_g2_size_other_than_7_exits_2(self, capsys, argv):
+        code, err = run_bad(capsys, *argv, "--n", "5")
+        assert code == 2 and "dimension 7" in err
+        code, doc = run(capsys, *argv, "--n", "7")
+        assert code == 0
+        assert (doc["input"] if argv[0] == "certify" else doc)["n"] == 7
+
+    @pytest.mark.parametrize("command", ["classify", "bounds"])
+    def test_missing_n_exits_2(self, capsys, command):
+        code, err = run_bad(capsys, command, "--family", "lower")
+        assert code == 2 and "--n is required" in err
+
+    def test_scan_has_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--n", "2", "--t", "3", "--s", "3", "--seed", "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()

@@ -10,7 +10,6 @@ from liegen.exact import (
     SpanBasis,
     bracket,
     isolate_largest_positive_root,
-    span_insert,
 )
 
 
@@ -128,11 +127,6 @@ class TestSpanBasis:
         assert sb.contains(Matrix.identity(2))
         assert not sb.contains(Matrix.unit(2, 1, 2))
 
-    def test_span_insert_nonmutating(self):
-        sb = SpanBasis(2)
-        out, grew = span_insert(sb, Matrix.unit(2, 1, 2))
-        assert grew and out.rank == 1 and sb.rank == 0
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             SpanBasis(2).insert(Matrix.identity(3))
@@ -208,6 +202,11 @@ class TestRootIsolation:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             isolate_largest_positive_root(Polynomial([]))
+
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_width_must_be_positive(self, w):
+        with pytest.raises(ValueError):
+            isolate_largest_positive_root(Polynomial([-2, 1]), width=Fraction(w))
 
     def test_requested_width(self):
         w = Fraction(1, 1000)

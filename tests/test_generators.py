@@ -7,7 +7,10 @@ from liegen.exact import Matrix, bracket
 from liegen.generators import (
     FAMILY_CORNER,
     FAMILY_DOUBLE_CORNER,
+    FAMILY_G2,
+    FAMILY_LOWER,
     G2_CARTAN,
+    build_pair,
     diagram_automorphism,
     doubling_bvector,
     g2_canonical,
@@ -65,6 +68,24 @@ class TestLowerPair:
             lower_pair((1, 0, 1))
 
 
+class TestBuildPair:
+    def test_each_family(self):
+        assert build_pair(FAMILY_CORNER, 5) == shift_pair(5, FAMILY_CORNER)
+        assert build_pair(FAMILY_DOUBLE_CORNER, 5) == shift_pair(5, FAMILY_DOUBLE_CORNER)
+        assert build_pair(FAMILY_LOWER, 4, (8, 12, 14)) == lower_pair((8, 12, 14))
+        assert build_pair(FAMILY_G2, 7) == g2_pair()
+
+    @pytest.mark.parametrize("family,n,b", [
+        (FAMILY_G2, 5, None),
+        (FAMILY_LOWER, 4, None),
+        (FAMILY_LOWER, 4, (1, 2)),
+        ("unknown", 4, None),
+    ])
+    def test_rejects(self, family, n, b):
+        with pytest.raises(ValueError):
+            build_pair(family, n, b)
+
+
 class TestDoublingBVector:
     def test_n4(self):
         assert doubling_bvector(4) == (8, 12, 14)
@@ -73,9 +94,6 @@ class TestDoublingBVector:
         # direct evaluation of b_i = sum_{j<=i} 2^{n-j}
         assert doubling_bvector(3) == (4, 6)
         assert doubling_bvector(5) == (16, 24, 28, 30)
-
-    def test_rank_convention_halves(self):
-        assert doubling_bvector(4, size_convention="rank") == (4, 6, 7)
 
 
 class TestG2:

@@ -3,8 +3,10 @@
 ``golden_cli.json`` holds the exit code and the exact standard output of
 ``liegen.cli.main`` for every CLI example in the README, ``classify`` of
 every corner and double corner shape with n <= 8, G2 and the lower doubling
-pairs with n = 3..6, one ``certify`` per family and two-file ``closure``
-runs.  A change that means to keep the output (a refactor or a speed-up)
+pairs with n = 3..6, one ``certify`` per family, two-file ``closure`` runs,
+and each family or kind path of ``gen``, ``bounds``, ``certify`` and ``exp``
+(``certify`` exiting 1 as ``dense_only`` and as ``insufficient`` among
+them).  A change that means to keep the output (a refactor or a speed-up)
 must leave every entry as it is, ``rounds`` included.
 
 Regenerate the file only when a change of output is intended:
@@ -17,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import pathlib
 
 import pytest
@@ -74,6 +75,19 @@ CASES_WITH_REPEATS = (
         ["certify", "--family", "g2", "--t", "17", "--r", "17"],
         ["closure", "rat3_a.json", "rat3_b.json"],
     ]
+    # every family path of gen, bounds, certify and exp
+    + [
+        ["bounds", "--family", "corner", "--n", "4"],
+        ["bounds", "--family", "lower", "--n", "4", "--b", "doubling"],
+        ["bounds", "--family", "lower", "--n", "4", "--b", "3,-5,7", "--width", "1/1024"],
+        ["gen", "--family", "double_corner", "--n", "5"],
+        ["gen", "--family", "g2"],
+        ["certify", "--family", "corner", "--n", "4", "--t", "3", "--s", "3"],
+        ["certify", "--family", "corner", "--n", "4", "--t", "0", "--s", "3"],
+        ["certify", "--family", "lower", "--n", "3", "--b", "1,3", "--t", "9", "--r", "9"],
+        ["exp", "--kind", "corner", "--n", "4", "--s", "2/3"],
+        ["exp", "--kind", "lower", "--n", "4", "--r", "1/2", "--b", "doubling"],
+    ]
 )
 CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())
 
@@ -95,8 +109,7 @@ def _golden() -> dict[str, dict]:
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_output_is_byte_identical(argv, tmp_path, monkeypatch):
-    monkeypatch.delenv("LIEGEN_DEFAULT_WIDTH", raising=False)
+def test_output_is_byte_identical(argv, tmp_path):
     expected = _golden()[" ".join(argv)]
     code, stdout = run_case(argv, tmp_path)
     assert code == expected["exit"]
@@ -110,7 +123,6 @@ def test_golden_file_covers_every_case():
 if __name__ == "__main__":
     import tempfile
 
-    os.environ.pop("LIEGEN_DEFAULT_WIDTH", None)
     with tempfile.TemporaryDirectory() as tmp:
         records = []
         for argv in CASES:

@@ -22,6 +22,7 @@ from liegen.pingpong import (
     pingpong_spotcheck,
     r_inequalities,
     s0,
+    second_bound,
     t_inequality,
 )
 
@@ -98,6 +99,16 @@ class TestBounds:
         assert p(bound.safe_value + 1) > 0
         assert p(bound.bracket.lo) <= 0
         assert bound.bracket.hi <= bound.safe_value
+
+    def test_second_bound_per_family(self):
+        assert second_bound(FAMILY_CORNER, 5) is None
+        b = doubling_bvector(4)
+        assert second_bound(FAMILY_LOWER, 4, b) == compute_r0(4, b)
+        assert second_bound(FAMILY_G2, 7) == compute_r0(7, G2_LOWER_B)
+        with pytest.raises(ValueError):
+            second_bound(FAMILY_LOWER, 4)
+        with pytest.raises(ValueError):
+            second_bound("double_corner", 5)
 
     def test_safe_value_dyadic(self):
         for n in (2, 5, 7):
