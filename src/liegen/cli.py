@@ -15,14 +15,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .exact import DEFAULT_WIDTH, Matrix, Polynomial, RootBracket
-from .generators import (
-    FAMILY_CORNER,
-    FAMILY_DOUBLE_CORNER,
-    FAMILY_G2,
-    FAMILY_LOWER,
-    build_pair,
-    doubling_bvector,
-)
+from .generators import FAMILIES, build_pair, doubling_bvector
 from .closure import classify, subalgebra_closure
 from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
 from .pingpong import (
@@ -34,14 +27,6 @@ from .pingpong import (
     s0,
     second_bound,
 )
-
-_FAMILY_ALIASES = {
-    "corner": FAMILY_CORNER,
-    "double_corner": FAMILY_DOUBLE_CORNER,
-    "lower": FAMILY_LOWER,
-    "g2": FAMILY_G2,
-}
-
 
 def matrix_to_doc(m: Matrix) -> dict:
     return {
@@ -94,6 +79,10 @@ def _bound_doc(bound: PingPongBound) -> dict:
     }
 
 
+def _params_doc(params: dict) -> dict:
+    return {k: [str(x) for x in v] if isinstance(v, tuple) else str(v) for k, v in params.items()}
+
+
 def _add_second_bound(doc: dict, bound: Optional[PingPongBound]) -> None:
     if bound is None:
         doc["s0"] = str(s0())
@@ -115,21 +104,21 @@ def _parse_b(spec: str, n: int) -> tuple[Fraction, ...]:
     return b
 
 
-def _family_size(args: argparse.Namespace) -> tuple[int, Optional[tuple[Fraction, ...]]]:
-    """The matrix size and the b-vector of a family invocation.
+def _reject_unused(args: argparse.Namespace, used: Sequence[str], what: str) -> None:
+    """Refuse a parameter flag that the family or kind does not read."""
+    for flag in ("t", "s", "r", "b"):
+        if flag not in used and getattr(args, flag, None) is not None:
+            raise ValueError(f"--{flag} does not apply to {what}")
 
-    G2 is 7x7, every other family needs --n, and the lower family takes
-    --b (default "doubling").
-    """
-    if args.family == FAMILY_G2:
-        if args.n not in (None, 7):
-            raise ValueError("the G2 family lives in dimension 7")
-        return 7, None
-    if args.n is None:
+
+def _family_size(args: argparse.Namespace) -> tuple[int, Optional[tuple[Fraction, ...]]]:
+    """The matrix size and the b-vector (lower family only) of a family invocation."""
+    fam = FAMILIES[args.family]
+    _reject_unused(args, ("t", fam.second, "b" if fam.takes_b else ""), f"the {fam.alias} family")
+    n = fam.size(args.n)
+    if n is None:
         raise ValueError("--n is required for this family")
-    if args.family == FAMILY_LOWER:
-        return args.n, _parse_b(args.b or "doubling", args.n)
-    return args.n, None
+    return n, _parse_b(args.b or "doubling", n) if fam.takes_b else None
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -191,19 +180,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_exp(args: argparse.Namespace) -> int:
+    name = {"upper": "t", "corner": "s", "lower": "r"}[args.kind]
+    _reject_unused(args, (name, "b" if args.kind == "lower" else ""), f"kind {args.kind}")
+    if getattr(args, name) is None:
+        raise ValueError(f"--{name} is required for kind {args.kind}")
+    value = Fraction(getattr(args, name))
     if args.kind == "upper":
-        if args.t is None:
-            raise ValueError("--t is required for kind upper")
-        g = exp_upper(Fraction(args.t), args.n)
+        g = exp_upper(value, args.n)
     elif args.kind == "corner":
-        if args.s is None:
-            raise ValueError("--s is required for kind corner")
-        g = exp_corner(Fraction(args.s), args.n)
+        g = exp_corner(value, args.n)
     else:
-        if args.r is None:
-            raise ValueError("--r is required for kind lower")
-        b = _parse_b(args.b or "doubling", args.n)
-        g = exp_lower(Fraction(args.r), b)
+        g = exp_lower(value, _parse_b(args.b or "doubling", args.n))
     _emit({"kind": args.kind, "n": args.n, "matrix": matrix_to_doc(g)})
     return 0
 
@@ -214,10 +201,7 @@ def certificate_to_doc(cert: Certificate, width: Fraction) -> dict:
         "input": {
             "family": cert.family,
             "n": cert.n,
-            "parameters": {
-                k: [str(x) for x in v] if isinstance(v, tuple) else str(v)
-                for k, v in cert.parameters.items()
-            },
+            "parameters": _params_doc(cert.parameters),
             "width": str(width),
         },
         "generators": {
@@ -241,35 +225,27 @@ def certificate_to_doc(cert: Certificate, width: Fraction) -> dict:
 def cmd_certify(args: argparse.Namespace) -> int:
     n, b = _family_size(args)
     width = Fraction(args.width) if args.width else DEFAULT_WIDTH
-    cert = certify_free_dense(
-        n,
-        args.family,
-        t=Fraction(args.t),
-        s=Fraction(args.s) if args.s else None,
-        r=Fraction(args.r) if args.r else None,
-        b=b,
-        width=width,
-    )
+    s, r = (Fraction(v) if v else None for v in (args.s, args.r))
+    cert = certify_free_dense(n, args.family, t=Fraction(args.t), s=s, r=r, b=b, width=width)
     _emit(certificate_to_doc(cert, width))
     return 0 if cert.conclusion == CONCLUSION_FREE_DENSE else 1
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    lower = args.r is not None
+    _reject_unused(args, ("t", "s", "r", "b" if lower else ""), "a scan without --r")
     report = freeness_scan(
         args.n,
         t=Fraction(args.t),
         s=Fraction(args.s) if args.s is not None else None,
-        r=Fraction(args.r) if args.r is not None else None,
-        b=_parse_b(args.b, args.n) if args.b else None,
+        r=Fraction(args.r) if lower else None,
+        b=_parse_b(args.b or "doubling", args.n) if lower else None,
         max_syllables=args.max_syll,
         max_exponent=args.max_exp,
     )
     doc = {
         "n": report.n,
-        "parameters": {
-            k: [str(x) for x in v] if isinstance(v, tuple) else str(v)
-            for k, v in report.parameters.items()
-        },
+        "parameters": _params_doc(report.parameters),
         "max_syllables": report.max_syllables,
         "max_exponent": report.max_exponent,
         "words_checked": report.words_checked,
@@ -302,12 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    aliases = {f.alias: f.name for f in FAMILIES.values()}
+    bounded = [f.name for f in FAMILIES.values() if f.second]
+
     def family_arg(p: argparse.ArgumentParser, choices=None) -> None:
         p.add_argument(
             "--family",
             required=True,
-            type=lambda v: _FAMILY_ALIASES.get(v, v),
-            choices=choices or list(_FAMILY_ALIASES.values()),
+            type=lambda v: aliases.get(v, v),
+            choices=choices or list(FAMILIES),
         )
 
     p = sub.add_parser("gen", help="print a generator pair")
@@ -327,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("bounds", help="certified ping-pong bounds")
-    family_arg(p, choices=[FAMILY_CORNER, FAMILY_LOWER, FAMILY_G2])
+    family_arg(p, choices=bounded)
     p.add_argument("--n", type=int)
     p.add_argument("--b")
     p.add_argument("--width")
@@ -343,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exp)
 
     p = sub.add_parser("certify", help="free-dense certificate")
-    family_arg(p, choices=[FAMILY_CORNER, FAMILY_LOWER, FAMILY_G2])
+    family_arg(p, choices=bounded)
     p.add_argument("--n", type=int)
     p.add_argument("--t", required=True)
     p.add_argument("--s")

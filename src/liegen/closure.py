@@ -9,12 +9,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exact import Matrix, SpanBasis, _int_flatten, bracket
-from .generators import (
-    FAMILY_CORNER,
-    FAMILY_DOUBLE_CORNER,
-    FAMILY_G2,
-    FAMILY_LOWER,
-)
+from .generators import FAMILY_CORNER, FAMILY_DOUBLE_CORNER, lookup_family
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,10 @@ def classify(n: int, result: ClosureResult) -> TypeLabel:
     B and C share the dimension m(2m+1); n's parity disambiguates.  The
     G2 case is pinned to (n, dim) = (7, 14).
     """
-    dim = result.dim
+    return _type_of(n, result.dim)
+
+
+def _type_of(n: int, dim: int) -> TypeLabel:
     if dim == n * n:
         return TypeLabel(family="full_matrix_algebra", rank=None, dim=dim)
     if dim == n * n - 1:
@@ -123,35 +121,11 @@ def classify(n: int, result: ClosureResult) -> TypeLabel:
 
 
 def predicted_type(family: str, n: int) -> TypeLabel:
-    """The type the generator pair is known to produce.
-
-    For the lower family that is sl(n), reached when b passes Proposition 2.
-    """
-    if family == FAMILY_LOWER:
-        if n < 3:
-            raise ValueError("lower family requires n >= 3")
-        return TypeLabel(family="A", rank=n - 1, dim=n * n - 1)
-    if family == FAMILY_CORNER:
-        if n < 3:
-            raise ValueError("corner family requires n >= 3")
-        if n % 2 == 0:
-            m = n // 2
-            return TypeLabel(family="C", rank=m, dim=m * (2 * m + 1))
-        return TypeLabel(family="A", rank=n - 1, dim=n * n - 1)
-    if family == FAMILY_DOUBLE_CORNER:
-        if n < 4:
-            raise ValueError("double corner family requires n >= 4")
-        if n % 2 == 0:
-            return TypeLabel(family="A", rank=n - 1, dim=n * n - 1)
-        if n == 7:
-            return TypeLabel(family="G2", rank=2, dim=14)
-        m = (n - 1) // 2
-        return TypeLabel(family="B", rank=m, dim=m * (2 * m + 1))
-    if family == FAMILY_G2:
-        if n != 7:
-            raise ValueError("the G2 family lives in dimension 7")
-        return TypeLabel(family="G2", rank=2, dim=14)
-    raise ValueError(f"unknown family {family!r}")
+    """The type the family's pair generates (a lower pair: when b passes
+    Proposition 2), as classify's lookup at the family's target dimension."""
+    fam = lookup_family(family)
+    fam.check(n)
+    return _type_of(n, fam.target_dim(n))
 
 
 def c_shift(s: int, i: int) -> int:

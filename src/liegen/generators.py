@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .exact import Matrix, Scalar, bracket, _rat
 
@@ -18,6 +18,56 @@ FAMILY_CORNER = "corner"
 FAMILY_DOUBLE_CORNER = "double_corner"
 FAMILY_LOWER = "lower_bidiagonal"
 FAMILY_G2 = "g2_7x7"
+
+#: b-vector of the G2 second generator z, read off its subdiagonal.
+G2_LOWER_B = tuple(Fraction(x) for x in (1, -1, 2, 2, -1, 1))
+
+
+@dataclass(frozen=True)
+class Family:
+    """Every per-family fact; FAMILIES holds one record per family.  The second
+    generator is a shift pair's corner (``shift_units``) or lower bidiagonal,
+    with the caller's b-vector (``takes_b``) or ``fixed_b``."""
+
+    name: str
+    alias: str  # the CLI's --family value
+    min_n: int  # the smallest n the pair exists for
+    second: Optional[str]  # "s" (bound s0 = 2), "r" (bound r0), None (no certified bound)
+    target_dim: Callable[[int], int]  # dim of the simple algebra the pair generates
+    shift_units: Optional[Callable[[int], list]] = None  # (i, j, c) units of y
+    takes_b: bool = False
+    fixed_b: Optional[tuple[Fraction, ...]] = None
+    fixed_n: Optional[int] = None  # the one size of a family that has one
+
+    def size(self, n: Optional[int]) -> Optional[int]:
+        """n, which a family of one size lets the caller omit but not change."""
+        if self.fixed_n is not None and n not in (None, self.fixed_n):
+            raise ValueError(f"the {self.alias} family lives in dimension {self.fixed_n}")
+        return self.fixed_n or n
+
+    def check(self, n: int) -> None:
+        """Reject a size the family's pair does not exist in."""
+        if self.size(n) < self.min_n:
+            raise ValueError(f"the {self.alias} pair requires n >= {self.min_n}")
+
+
+FAMILIES = {f.name: f for f in (
+    Family(FAMILY_CORNER, "corner", 3, "s",
+           lambda n: n * (n + 1) // 2 if n % 2 == 0 else n * n - 1,
+           shift_units=lambda n: [(n, 1, 1)]),
+    Family(FAMILY_DOUBLE_CORNER, "double_corner", 4, None,
+           lambda n: n * n - 1 if n % 2 == 0 else 14 if n == 7 else n * (n - 1) // 2,
+           shift_units=lambda n: [(n - 1, 1, 1), (n, 2, 1)]),
+    Family(FAMILY_LOWER, "lower", 3, "r", lambda n: n * n - 1, takes_b=True),
+    Family(FAMILY_G2, "g2", 7, "r", lambda n: 14, fixed_b=G2_LOWER_B, fixed_n=7),
+)}
+
+
+def lookup_family(name: str) -> Family:
+    """The record of a family name, or ValueError."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[name]
 
 
 @dataclass(frozen=True)
@@ -45,16 +95,11 @@ def shift_matrix(n: int) -> Matrix:
 
 def shift_pair(n: int, family: str = FAMILY_CORNER) -> GeneratorPair:
     """Shift x with corner y = e_{n,1}, or double corner y = e_{n-1,1} + e_{n,2}."""
-    if family == FAMILY_CORNER:
-        if n < 3:
-            raise ValueError("corner pair requires n >= 3")
-        y = Matrix.unit(n, n, 1)
-    elif family == FAMILY_DOUBLE_CORNER:
-        if n < 4:
-            raise ValueError("double corner pair requires n >= 4")
-        y = Matrix.from_units(n, [(n - 1, 1, 1), (n, 2, 1)])
-    else:
+    fam = lookup_family(family)
+    if fam.shift_units is None:
         raise ValueError(f"unknown shift family {family!r}")
+    fam.check(n)
+    y = Matrix.from_units(n, fam.shift_units(n))
     return GeneratorPair(n=n, first=shift_matrix(n), second=y, family=family)
 
 
@@ -64,8 +109,7 @@ def lower_pair(b: Sequence[Scalar]) -> GeneratorPair:
     if any(x == 0 for x in bs):
         raise ValueError("all b_i must be nonzero")
     n = len(bs) + 1
-    if n < 3:
-        raise ValueError("lower pair requires at least two b entries")
+    FAMILIES[FAMILY_LOWER].check(n)
     z = Matrix.from_units(n, [(i + 1, i, bs[i - 1]) for i in range(1, n)])
     return GeneratorPair(n=n, first=shift_matrix(n), second=z, family=FAMILY_LOWER, b=bs)
 
@@ -89,33 +133,24 @@ def g2_pieces() -> tuple[Matrix, Matrix, Matrix, Matrix]:
 
 
 def g2_pair() -> GeneratorPair:
-    """The G2 pair: x = x1 + x2 (the full shift) and z = -y1 + y2."""
+    """The G2 pair: x = x1 + x2 (the full shift) and z = -y1 + y2, which is
+    the lower bidiagonal matrix of G2_LOWER_B."""
     x1, x2, y1, y2 = g2_pieces()
     return GeneratorPair(n=7, first=x1 + x2, second=-y1 + y2, family=FAMILY_G2)
 
 
 def build_pair(family: str, n: int, b: Optional[Sequence[Scalar]] = None) -> GeneratorPair:
     """The n x n generator pair of a family; the lower family is built from b."""
-    if family == FAMILY_G2:
-        if n != 7:
-            raise ValueError("the G2 family lives in dimension 7")
-        return g2_pair()
-    if family == FAMILY_LOWER:
+    fam = lookup_family(family)
+    if fam.shift_units is not None:
+        return shift_pair(n, family)
+    fam.check(n)
+    if fam.takes_b:
         if b is None or len(b) != n - 1:
             raise ValueError("the lower family needs a b-vector of length n - 1")
         return lower_pair(b)
-    return shift_pair(n, family)
+    return g2_pair()
 
-
-#: b-vector of the G2 second generator z, read off its subdiagonal.
-G2_LOWER_B = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(2),
-    Fraction(-1),
-    Fraction(1),
-)
 
 #: Cartan matrix of type G2 in the ordering used by g2_canonical.
 G2_CARTAN = ((2, -3), (-1, 2))

@@ -164,9 +164,8 @@ def freeness_scan(
         gen_b = one_parameter_power(lambda u: exp_corner(u, n), s)
         params["s"] = _rat(s)
     else:
-        assert b is not None, "lower scan needs the b-vector"
-        if len(b) != n - 1:
-            raise ValueError("b-vector length must be n - 1")
+        if b is None or len(b) != n - 1:
+            raise ValueError("a lower scan needs a b-vector of length n - 1")
         gen_b = one_parameter_power(lambda u: exp_lower(u, b), r)
         params["r"] = _rat(r)
         params["b"] = tuple(_rat(x) for x in b)

@@ -25,14 +25,7 @@ from .exact import (
     isolate_largest_positive_root,
 )
 from .closure import ClosureResult, TypeLabel, classify, predicted_type, subalgebra_closure
-from .generators import (
-    FAMILY_CORNER,
-    FAMILY_G2,
-    FAMILY_LOWER,
-    G2_LOWER_B,
-    GeneratorPair,
-    build_pair,
-)
+from .generators import GeneratorPair, build_pair, lookup_family
 from .groups import exp_corner, exp_lower, exp_upper, lower_coefficient
 
 
@@ -155,17 +148,17 @@ def s0() -> Fraction:
 def second_bound(
     family: str, n: int, b: Optional[Sequence[Scalar]] = None, width: Fraction = DEFAULT_WIDTH
 ) -> Optional[PingPongBound]:
-    """Bound on the second generator's parameter: r0 for the lower and G2
-    families, None for the corner family, whose threshold is s0 = 2."""
-    if family == FAMILY_CORNER:
+    """Bound on the second generator's parameter: r0 of the lower bidiagonal
+    second generator (b fixed for G2), None where the threshold is s0 = 2."""
+    fam = lookup_family(family)
+    if fam.second is None:
+        raise ValueError(f"family {family!r} has no certified ping-pong bounds")
+    if fam.second == "s":
         return None
-    if family == FAMILY_LOWER:
-        if b is None:
-            raise ValueError("the lower family needs the b-vector")
-        return compute_r0(n, b, width)
-    if family == FAMILY_G2:
-        return compute_r0(n, G2_LOWER_B, width)  # length 6: rejects any n but 7
-    raise ValueError(f"family {family!r} has no certified ping-pong bounds")
+    b = fam.fixed_b or b
+    if b is None:
+        raise ValueError("the lower family needs the b-vector")
+    return compute_r0(n, b, width)
 
 
 @dataclass
@@ -280,13 +273,14 @@ def certify_free_dense(
     """
     t = _rat(t)
     bound = second_bound(family, n, b, width)
-    second_kind, second_val = ("s", s) if bound is None else ("r", r)
-    if second_val is None:
-        raise ValueError(f"the {family} family needs {second_kind}")
-    second_val = _rat(second_val)
+    second = lookup_family(family).second
+    given = {k: v for k, v in (("s", s), ("r", r)) if v is not None}
+    if list(given) != [second]:
+        raise ValueError(f"the {family} family takes the parameter {second} alone")
+    second_val = _rat(given[second])
     second_threshold = s0() if bound is None else bound.safe_value
     pair = build_pair(family, n, b)
-    params: dict = {"t": t, second_kind: second_val}
+    params: dict = {"t": t, second: second_val}
     if pair.b is not None:
         params["b"] = pair.b
 

@@ -166,6 +166,10 @@ class TestScan:
                         "--max-syll", "6", "--max-exp", "1")
         assert code == 1 and len(doc["collisions"]) >= 1
 
+    def test_lower_without_b_uses_doubling(self, capsys):
+        code, doc = run(capsys, "scan", "--n", "3", "--t", "5", "--r", "3")
+        assert code == 0 and doc["parameters"]["b"] == ["4", "6"]
+
 
 class TestThin:
     def test_certified(self, capsys):
@@ -260,6 +264,26 @@ class TestBadInput:
     def test_missing_n_exits_2(self, capsys, command):
         code, err = run_bad(capsys, command, "--family", "lower")
         assert code == 2 and "--n is required" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["gen", "--family", "corner", "--n", "4", "--b", "0,1"], "--b"),
+        (["bounds", "--family", "corner", "--n", "4", "--b", "1,3"], "--b"),
+        (["classify", "--family", "double_corner", "--n", "5", "--b", "3,-5,7"], "--b"),
+        (["certify", "--family", "g2", "--t", "17", "--r", "17", "--b", "1,2,3,4,5,6"], "--b"),
+        (["certify", "--family", "g2", "--t", "17", "--r", "17", "--s", "3"], "--s"),
+        (["certify", "--family", "corner", "--n", "4", "--t", "17", "--s", "3", "--r", "5"],
+         "--r"),
+        (["exp", "--kind", "upper", "--n", "3", "--t", "1", "--b", "1,2"], "--b"),
+        (["exp", "--kind", "corner", "--n", "3", "--s", "1", "--t", "1"], "--t"),
+        (["scan", "--n", "3", "--t", "5", "--s", "3", "--b", "1,2"], "--b"),
+    ])
+    def test_flag_the_family_or_kind_does_not_use_exits_2(self, capsys, argv, flag):
+        code, err = run_bad(capsys, *argv)
+        assert code == 2 and f"{flag} does not apply" in err
+
+    def test_lower_scan_without_a_doubling_vector_exits_2(self, capsys):
+        code, err = run_bad(capsys, "scan", "--n", "2", "--t", "5", "--r", "3")
+        assert code == 2 and "n >= 3" in err
 
     def test_scan_has_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from liegen.generators import (
     FAMILY_DOUBLE_CORNER,
     FAMILY_G2,
     FAMILY_LOWER,
+    build_pair,
     diagram_automorphism,
     doubling_bvector,
     g2_pair,
@@ -186,13 +187,17 @@ class TestClassify:
     @pytest.mark.parametrize(
         "family,ns",
         [
-            (FAMILY_CORNER, range(3, 8)),
-            (FAMILY_DOUBLE_CORNER, range(4, 8)),
+            (FAMILY_CORNER, range(3, 11)),
+            (FAMILY_DOUBLE_CORNER, range(4, 11)),
+            (FAMILY_LOWER, range(3, 8)),  # the doubling b-vector
+            (FAMILY_G2, [7]),
         ],
     )
     def test_classify_matches_prediction(self, family, ns):
+        """The family table's target dimension against the closure itself."""
         for n in ns:
-            p = shift_pair(n, family)
+            b = doubling_bvector(n) if family == FAMILY_LOWER else None
+            p = build_pair(family, n, b)
             res = subalgebra_closure([p.first, p.second])
             assert classify(n, res) == predicted_type(family, n)
 

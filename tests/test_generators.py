@@ -10,6 +10,7 @@ from liegen.generators import (
     FAMILY_G2,
     FAMILY_LOWER,
     G2_CARTAN,
+    G2_LOWER_B,
     build_pair,
     diagram_automorphism,
     doubling_bvector,
@@ -102,6 +103,12 @@ class TestG2:
         assert p.first == shift_matrix(7)
         assert p.second[4, 3] == 2
         assert (p.first**7).is_zero() and (p.second**7).is_zero()
+
+    def test_pair_is_the_lower_pair_at_g2_lower_b(self):
+        p, lower = g2_pair(), lower_pair(G2_LOWER_B)
+        assert p.first == lower.first == shift_matrix(7)
+        assert p.second == lower.second
+        assert p.family == "g2_7x7" and p.b is None
 
     def test_canonical_relations(self):
         gens = g2_canonical()

@@ -4,9 +4,9 @@
 ``liegen.cli.main`` for every CLI example in the README, ``classify`` of
 every corner and double corner shape with n <= 8, G2 and the lower doubling
 pairs with n = 3..6, one ``certify`` per family, two-file ``closure`` runs,
-and each family or kind path of ``gen``, ``bounds``, ``certify`` and ``exp``
+each family or kind path of ``gen``, ``bounds``, ``certify`` and ``exp``
 (``certify`` exiting 1 as ``dense_only`` and as ``insufficient`` among
-them).  A change that means to keep the output (a refactor or a speed-up)
+them), and a lower ``scan``.  A change that means to keep the output (a refactor or a speed-up)
 must leave every entry as it is, ``rounds`` included.
 
 Regenerate the file only when a change of output is intended:
@@ -87,6 +87,17 @@ CASES_WITH_REPEATS = (
         ["certify", "--family", "lower", "--n", "3", "--b", "1,3", "--t", "9", "--r", "9"],
         ["exp", "--kind", "corner", "--n", "4", "--s", "2/3"],
         ["exp", "--kind", "lower", "--n", "4", "--r", "1/2", "--b", "doubling"],
+    ]
+    # paths the family table reads: bounds below the pair's size range, the
+    # default doubling b, an explicit lower b-vector, G2 below its r0 bound,
+    # and a lower scan
+    + [
+        ["bounds", "--family", "corner", "--n", "2"],
+        ["gen", "--family", "lower", "--n", "5"],
+        ["classify", "--family", "lower", "--n", "4", "--b", "3,-5,7"],
+        ["certify", "--family", "g2", "--t", "17", "--r", "1"],
+        ["scan", "--n", "3", "--t", "5", "--r", "3", "--b", "1,2",
+         "--max-syll", "3", "--max-exp", "2"],
     ]
 )
 CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())

@@ -167,6 +167,12 @@ class TestFreenessScan:
         with pytest.raises(ValueError):
             freeness_scan(2, t=1, s=1, max_syllables=0, max_exponent=1)
 
+    @pytest.mark.parametrize("b", [None, (1,), (1, 2, 3)])
+    def test_lower_scan_without_a_fitting_b_vector_raises(self, b):
+        """A ValueError, not an assertion that ``python -O`` would strip."""
+        with pytest.raises(ValueError, match="b-vector"):
+            freeness_scan(3, 5, r=3, b=b)
+
 
 class TestThinPair:
     def test_integrality(self):
