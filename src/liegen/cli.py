@@ -233,6 +233,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     lower = args.r is not None
+    if lower == (args.s is not None):
+        raise ValueError("scan needs exactly one of --s (corner) or --r (lower)")
     _reject_unused(args, ("t", "s", "r", "b" if lower else ""), "a scan without --r")
     report = freeness_scan(
         args.n,

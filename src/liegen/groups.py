@@ -138,6 +138,11 @@ class ScanReport:
         return not self.collisions
 
 
+# Most reduced words of up to ceil(L/2) syllables that one scan may multiply
+# out and hold in memory; a larger scan is refused as bad input.
+MAX_HALF_WORDS = 50_000
+
+
 def freeness_scan(
     n: int,
     t: Scalar,
@@ -147,17 +152,36 @@ def freeness_scan(
     max_syllables: int = 4,
     max_exponent: int = 2,
 ) -> ScanReport:
-    """Evaluate every reduced word up to the given size; collect identity hits.
+    """Find every reduced word up to the given size that equals the identity.
 
     The A generator is a(t); the B generator is b(s) when s is given, or
     c(r) with the supplied b-vector when r is given.  An empty collision
     list is freeness evidence (a necessary condition only); any collision
     disproves freeness at these parameters.
+
+    Meet in the middle (Schroeppel & Shamir 1981): split a word of l
+    syllables as w = u v with ceil(l/2) syllables in u.  Then w = 1 exactly
+    when prod(u) = prod(v)^-1, and prod(v)^-1 is the product of the mirror
+    of v (reversed, exponents negated), itself a reduced word of floor(l/2)
+    syllables.  So one table of the exact products of all reduced words of
+    up to ceil(L/2) syllables serves both halves, and no matrix is inverted.
+    The collisions come in depth-first order (A before B, exponents
+    ascending, a word before its extensions), and ``words_checked`` counts
+    every reduced word of 1 to L syllables, in closed form.
     """
     if max_syllables < 1 or max_exponent < 1:
         raise ValueError("max_syllables and max_exponent must be positive")
     if (s is None) == (r is None):
         raise ValueError("give exactly one of s (corner) or r (lower)")
+    half = (max_syllables + 1) // 2
+    half_words = 0
+    for k in range(1, half + 1):
+        half_words += 2 * (2 * max_exponent) ** k
+        if half_words > MAX_HALF_WORDS:
+            raise ValueError(
+                f"a scan of {max_syllables} syllables with exponents up to "
+                f"{max_exponent} exceeds the work cap of {MAX_HALF_WORDS} half-words"
+            )
     gen_a = one_parameter_power(lambda u: exp_upper(u, n), t)
     params: dict = {"t": _rat(t)}
     if s is not None:
@@ -174,32 +198,37 @@ def freeness_scan(
     syllable_mats = {
         ("A", e): gen_a(e) for e in exponents
     } | {("B", e): gen_b(e) for e in exponents}
-    identity = Matrix.identity(n)
 
-    collisions: list[Word] = []
-    checked = 0
+    # (length, product) -> the reduced words of that length with that product
+    table: dict[tuple[int, Matrix], list[tuple]] = {(0, Matrix.identity(n)): [()]}
+    level: list[tuple[tuple, Matrix]] = [((), Matrix.identity(n))]
+    for h in range(1, half + 1):
+        longer = []
+        for word, prod in level:
+            for syl, m in syllable_mats.items():
+                if not word or syl[0] != word[-1][0]:
+                    w, p = word + (syl,), prod * m
+                    longer.append((w, p))
+                    table.setdefault((h, p), []).append(w)
+        level = longer
 
-    def descend(prod: Matrix, gen: str, remaining: int, prefix: list) -> None:
-        nonlocal checked
-        nxt = "B" if gen == "A" else "A"
-        for e in exponents:
-            checked += 1
-            here = prod * syllable_mats[(gen, e)]
-            syls = prefix + [(gen, e)]
-            if here == identity:
-                collisions.append(Word(tuple(syls)))
-            if remaining > 1:
-                descend(here, nxt, remaining - 1, syls)
-
-    for start in ("A", "B"):
-        descend(identity, start, max_syllables, [])
+    hits = []
+    for (h, prod), heads in table.items():
+        # each head u of h syllables, then the mirror of a tail of h - 1 or h
+        # syllables with the same product; the generator changes at the join
+        for k in (h - 1, h):
+            if h == 0 or h + k > max_syllables:
+                continue
+            for tail in table.get((k, prod), ()):
+                mirror = tuple((g, -e) for g, e in reversed(tail))
+                hits += [u + mirror for u in heads if not tail or u[-1][0] != tail[-1][0]]
 
     return ScanReport(
         n=n,
         max_syllables=max_syllables,
         max_exponent=max_exponent,
-        words_checked=checked,
-        collisions=collisions,
+        words_checked=sum(2 * (2 * max_exponent) ** k for k in range(1, max_syllables + 1)),
+        collisions=[Word(w) for w in sorted(hits)],
         parameters=params,
     )
 

@@ -285,6 +285,17 @@ class TestBadInput:
         code, err = run_bad(capsys, "scan", "--n", "2", "--t", "5", "--r", "3")
         assert code == 2 and "n >= 3" in err
 
+    @pytest.mark.parametrize("second", [[], ["--s", "3", "--r", "3"]])
+    def test_scan_without_exactly_one_of_s_and_r_exits_2(self, capsys, second):
+        """The message names the flags, before any default b-vector is read."""
+        code, err = run_bad(capsys, "scan", "--n", "2", "--t", "5", *second)
+        assert code == 2 and "exactly one of --s (corner) or --r (lower)" in err
+
+    def test_scan_above_the_work_cap_exits_2(self, capsys):
+        code, err = run_bad(capsys, "scan", "--n", "2", "--t", "1", "--s", "1",
+                            "--max-syll", "30", "--max-exp", "1")
+        assert code == 2 and "work cap" in err
+
     def test_scan_has_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--n", "2", "--t", "3", "--s", "3", "--seed", "1"])

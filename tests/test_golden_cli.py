@@ -6,7 +6,7 @@ every corner and double corner shape with n <= 8, G2 and the lower doubling
 pairs with n = 3..6, one ``certify`` per family, two-file ``closure`` runs,
 each family or kind path of ``gen``, ``bounds``, ``certify`` and ``exp``
 (``certify`` exiting 1 as ``dense_only`` and as ``insufficient`` among
-them), and a lower ``scan``.  A change that means to keep the output (a refactor or a speed-up)
+them), a lower ``scan``, and three ``scan`` runs with identity hits.  A change that means to keep the output (a refactor or a speed-up)
 must leave every entry as it is, ``rounds`` included.
 
 Regenerate the file only when a change of output is intended:
@@ -98,6 +98,13 @@ CASES_WITH_REPEATS = (
         ["certify", "--family", "g2", "--t", "17", "--r", "1"],
         ["scan", "--n", "3", "--t", "5", "--r", "3", "--b", "1,2",
          "--max-syll", "3", "--max-exp", "2"],
+    ]
+    # scans with identity hits, which pin the order of the collision list:
+    # even and odd maximal length, hits of odd length, a negative s
+    + [
+        ["scan", "--n", "2", "--t", "1", "--s", "1", "--max-syll", "6", "--max-exp", "2"],
+        ["scan", "--n", "2", "--t", "2", "--s", "1", "--max-syll", "7", "--max-exp", "2"],
+        ["scan", "--n", "2", "--t", "1", "--s", "-1", "--max-syll", "9", "--max-exp", "1"],
     ]
 )
 CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from liegen import groups
 from liegen.exact import Matrix
 from liegen.generators import FAMILY_DOUBLE_CORNER, shift_matrix, shift_pair, lower_pair
 from liegen.groups import (
@@ -167,11 +168,93 @@ class TestFreenessScan:
         with pytest.raises(ValueError):
             freeness_scan(2, t=1, s=1, max_syllables=0, max_exponent=1)
 
+    def test_work_cap_counts_the_half_words(self, monkeypatch):
+        """L = 4 and L = 3 at E = 2 need 2 (4 + 16) = 40 half-words, L = 5 needs 168."""
+        monkeypatch.setattr(groups, "MAX_HALF_WORDS", 40)
+        for syll in (3, 4):
+            assert freeness_scan(2, t=1, s=1, max_syllables=syll, max_exponent=2).clean
+        with pytest.raises(ValueError, match="work cap of 40 half-words"):
+            freeness_scan(2, t=1, s=1, max_syllables=5, max_exponent=2)
+
+    def test_huge_scans_are_refused_at_once(self):
+        with pytest.raises(ValueError, match="work cap"):
+            freeness_scan(2, t=1, s=1, max_syllables=10**6, max_exponent=10**6)
+
     @pytest.mark.parametrize("b", [None, (1,), (1, 2, 3)])
     def test_lower_scan_without_a_fitting_b_vector_raises(self, b):
         """A ValueError, not an assertion that ``python -O`` would strip."""
         with pytest.raises(ValueError, match="b-vector"):
             freeness_scan(3, 5, r=3, b=b)
+
+
+def depth_first_scan(n, t, s=None, r=None, b=None, max_syllables=4, max_exponent=2):
+    """Word count and identity hits of a scan that multiplies out every
+    reduced word, depth first: the reference for ``freeness_scan``."""
+    gen_a = one_parameter_power(lambda u: exp_upper(u, n), t)
+    if s is not None:
+        gen_b = one_parameter_power(lambda u: exp_corner(u, n), s)
+    else:
+        gen_b = one_parameter_power(lambda u: exp_lower(u, b), r)
+    exponents = [e for e in range(-max_exponent, max_exponent + 1) if e != 0]
+    mats = {(g, e): gen(e) for g, gen in (("A", gen_a), ("B", gen_b)) for e in exponents}
+    identity = Matrix.identity(n)
+    hits = []
+    checked = 0
+
+    def descend(prod, gen, remaining, prefix):
+        nonlocal checked
+        for e in exponents:
+            checked += 1
+            here = prod * mats[(gen, e)]
+            syls = prefix + [(gen, e)]
+            if here == identity:
+                hits.append(Word(tuple(syls)))
+            if remaining > 1:
+                descend(here, "B" if gen == "A" else "A", remaining - 1, syls)
+
+    for start in ("A", "B"):
+        descend(identity, start, max_syllables, [])
+    return checked, hits
+
+
+SMALL = [Fraction(p, q) for p in (1, 2, 3) for q in (1, 2)]
+
+
+def random_scan_case(rng):
+    """n, and the keyword arguments of a scan.  Half the n = 2 corner cases
+    have t s in {+-1, +-2}, where short reduced words hit the identity."""
+    def small():
+        return rng.choice(SMALL) * rng.choice((1, -1))
+
+    n = rng.choice((2, 3))
+    kwargs = {"t": small(), "max_syllables": rng.randint(1, 6), "max_exponent": rng.randint(1, 2)}
+    if n == 3 and rng.random() < 0.5:
+        kwargs["r"] = small()
+        kwargs["b"] = tuple(small() for _ in range(n - 1))
+    elif n == 2 and rng.random() < 0.5:
+        kwargs["s"] = rng.choice((1, -1, 2, -2)) / kwargs["t"]
+    else:
+        kwargs["s"] = small()
+    return n, kwargs
+
+
+class TestScanAgainstDepthFirst:
+    @pytest.mark.parametrize("seed", range(48))
+    def test_same_collisions_in_the_same_order(self, seed):
+        n, kwargs = random_scan_case(random.Random(seed))
+        checked, hits = depth_first_scan(n, **kwargs)
+        rep = freeness_scan(n, **kwargs)
+        assert rep.words_checked == checked
+        assert rep.collisions == hits
+
+    def test_cases_include_many_collisions(self):
+        """The comparison above sees several scans with many hits, so it pins
+        the join condition and the order, not only clean scans."""
+        counts = []
+        for seed in range(48):
+            n, kwargs = random_scan_case(random.Random(seed))
+            counts.append(len(freeness_scan(n, **kwargs).collisions))
+        assert sum(counts) >= 50 and sum(c > 1 for c in counts) >= 2
 
 
 class TestThinPair:
