@@ -1,0 +1,5 @@
+"""``python -m liegen``: the command-line front end."""
+from .cli import run
+
+if __name__ == "__main__":
+    run()

@@ -366,3 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

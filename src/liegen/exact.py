@@ -16,6 +16,8 @@ Scalar = Union[int, Fraction]
 
 #: Default width of certified root brackets.
 DEFAULT_WIDTH = Fraction(1, 2**40)
+#: Finest width accepted: each halving costs one more evaluation per polynomial.
+MIN_WIDTH = Fraction(1, 2**256)
 
 
 def _rat(x: Scalar) -> Fraction:
@@ -351,7 +353,6 @@ class RootBracket:
 
     lo: Fraction
     hi: Fraction
-    width_bound: Fraction
 
     def contains(self, x: Scalar) -> bool:
         return self.lo <= x <= self.hi
@@ -367,50 +368,36 @@ def isolate_largest_positive_root(
 ) -> Optional[RootBracket]:
     """Bracket the largest positive real root of p to the requested width.
 
-    Requires a positive leading coefficient, so that p is eventually
-    positive; the returned bracket satisfies p(lo) <= 0 < p(hi) and p stays
-    positive above the Cauchy bound.  Returns None when Descartes' rule
-    certifies p > 0 on (0, oo), or when no sign change is found even after
-    grid refinement.
+    Requires a positive leading coefficient and at most one Descartes sign
+    change, as every inequality polynomial here has.  One change means one
+    positive root with p <= 0 below it and p > 0 above it, so bisection of
+    [0, Cauchy bound] returns a bracket with p(lo) <= 0 < p(hi).  Returns
+    None when there is no change, which certifies p > 0 on (0, oo).
     """
     if width <= 0:
         raise ValueError("root bracket width must be positive")
+    if width < MIN_WIDTH:
+        raise ValueError("root bracket width must be at least 2^-256")
     if p.is_zero():
         raise ValueError("zero polynomial has no root bracket")
     cs = p.coefficients
-    if p.degree == 0:
-        if cs[0] > 0:
-            return None
-        raise ValueError("negative constant polynomial is never positive")
     if cs[-1] < 0:
         raise ValueError("leading coefficient must be positive")
-    if _descartes_sign_changes(cs) == 0:
+    changes = _descartes_sign_changes(cs)
+    if changes == 0:
         return None  # all nonzero coefficients positive: p > 0 on (0, oo)
+    if changes > 1:
+        raise ValueError(f"{changes} Descartes sign changes: the root is not isolated")
 
-    lead = cs[-1]
-    upper = Fraction(1) + max(abs(c / lead) for c in cs[:-1])
+    upper = Fraction(1) + max(abs(c / cs[-1]) for c in cs[:-1])
     if p(upper) <= 0:  # cannot happen for a correct Cauchy bound
         raise AssertionError("Cauchy bound violated")
 
-    # coarse scan from the top down for the rightmost sign change
-    grid = max(64, 8 * p.degree)
-    lo = hi = None
-    for _ in range(4):
-        step = upper / grid
-        for k in range(grid - 1, -1, -1):
-            if p(k * step) <= 0:
-                lo, hi = k * step, (k + 1) * step
-                break
-        if lo is not None:
-            break
-        grid *= 4
-    if lo is None:
-        return None
-
+    lo, hi = Fraction(0), upper
     while hi - lo > width:
         mid = (lo + hi) / 2
         if p(mid) <= 0:
             lo = mid
         else:
             hi = mid
-    return RootBracket(lo=lo, hi=hi, width_bound=width)
+    return RootBracket(lo=lo, hi=hi)

@@ -21,6 +21,7 @@ from .exact import (
     Polynomial,
     RootBracket,
     Scalar,
+    _descartes_sign_changes,
     _rat,
     isolate_largest_positive_root,
 )
@@ -105,16 +106,13 @@ class PingPongBound:
     safe_value: Fraction
 
     def __post_init__(self) -> None:
+        # witness of p > 0 on [safe_value, oo): lead > 0, <= 1 sign change, p(safe) > 0
         for p in self.polys:
-            if p(self.safe_value) <= 0 or p(self.safe_value + 1) <= 0:
-                raise AssertionError("safe_value fails positivity check")
+            cs = p.coefficients
+            if p(self.safe_value) <= 0 or cs[-1] < 0 or _descartes_sign_changes(cs) > 1:
+                raise AssertionError("safe_value lacks a positivity witness")
         if self.bracket is not None and self.bracket.hi > self.safe_value:
             raise AssertionError("bracket exceeds safe_value")
-
-
-def _dyadic_above(x: Fraction) -> Fraction:
-    up = Fraction(math.ceil(x * 1024), 1024)
-    return up + Fraction(1, 1024) if up == x else up
 
 
 def _bound_from_polys(kind: str, polys: Sequence[Polynomial], width: Fraction) -> PingPongBound:
@@ -123,11 +121,11 @@ def _bound_from_polys(kind: str, polys: Sequence[Polynomial], width: Fraction) -
     if not real:
         return PingPongBound(kind=kind, polys=tuple(polys), bracket=None,
                              safe_value=Fraction(0))
+    # one sign change each puts every root below top.hi, so the least
+    # multiple of 1/1024 above top.hi is safe
     top = max(real, key=lambda br: br.hi)
-    safe = _dyadic_above(top.hi)
-    while any(p(safe) <= 0 for p in polys):
-        safe += Fraction(1, 1024)
-    return PingPongBound(kind=kind, polys=tuple(polys), bracket=top, safe_value=safe)
+    return PingPongBound(kind=kind, polys=tuple(polys), bracket=top,
+                         safe_value=Fraction(math.floor(top.hi * 1024) + 1, 1024))
 
 
 def compute_t0(n: int, width: Fraction = DEFAULT_WIDTH) -> PingPongBound:

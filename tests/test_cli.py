@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -247,6 +251,15 @@ class TestBadInput:
         code, err = run_bad(capsys, *argv, f"--width={width}")
         assert code == 2 and "width must be positive" in err
 
+    @pytest.mark.parametrize("width", ["1e-2000", "1e-4200", str(Fraction(1, 2**257))])
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--family", "corner", "--n", "40"],
+        ["certify", "--family", "corner", "--n", "7", "--t", "20", "--s", "3"],
+    ])
+    def test_width_below_minimum_exits_2(self, capsys, argv, width):
+        code, err = run_bad(capsys, *argv, f"--width={width}")
+        assert code == 2 and "width must be at least 2^-256" in err
+
     @pytest.mark.parametrize("argv", [
         ["gen", "--family", "g2"],
         ["classify", "--family", "g2"],
@@ -301,3 +314,16 @@ class TestBadInput:
             main(["scan", "--n", "2", "--t", "3", "--s", "3", "--seed", "1"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["liegen", "liegen.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "scan", "--n", "2", "--t", "5", "--s", "3", "--r", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "liegen: error: scan needs exactly one of --s (corner) or --r (lower)\n"

@@ -5,6 +5,7 @@ import pytest
 
 from liegen.exact import (
     DEFAULT_WIDTH,
+    MIN_WIDTH,
     Matrix,
     Polynomial,
     SpanBasis,
@@ -212,3 +213,17 @@ class TestRootIsolation:
         w = Fraction(1, 1000)
         br = isolate_largest_positive_root(Polynomial([-2, 1]), width=w)
         assert br.hi - br.lo <= w
+
+    def test_width_below_minimum_rejected(self):
+        p = Polynomial([-2, 1])
+        assert isolate_largest_positive_root(p, width=MIN_WIDTH).contains(2)
+        with pytest.raises(ValueError, match="at least 2\\^-256"):
+            isolate_largest_positive_root(p, width=MIN_WIDTH / 2)
+
+    def test_more_than_one_sign_change_rejected(self):
+        # (x-1)(x-100)(x-100001/1000): a coarse grid over [0, Cauchy
+        # bound] steps over the dip between the two largest roots
+        p = Polynomial([-10000100, 10200101, -201001, 1000])
+        assert p(Fraction(1000005, 10000)) < 0
+        with pytest.raises(ValueError, match="sign changes"):
+            isolate_largest_positive_root(p)

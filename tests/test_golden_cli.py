@@ -6,8 +6,10 @@ every corner and double corner shape with n <= 8, G2 and the lower doubling
 pairs with n = 3..6, one ``certify`` per family, two-file ``closure`` runs,
 each family or kind path of ``gen``, ``bounds``, ``certify`` and ``exp``
 (``certify`` exiting 1 as ``dense_only`` and as ``insufficient`` among
-them), a lower ``scan``, and three ``scan`` runs with identity hits.  A change that means to keep the output (a refactor or a speed-up)
-must leave every entry as it is, ``rounds`` included.
+them), a lower ``scan``, three ``scan`` runs with identity hits, and corner
+``bounds`` at n = 9, 12 and 17, where t0 has degree past 8.  A change that
+means to keep the output (a refactor or a speed-up) must leave every entry
+as it is, ``rounds`` included.
 
 Regenerate the file only when a change of output is intended:
 
@@ -106,6 +108,9 @@ CASES_WITH_REPEATS = (
         ["scan", "--n", "2", "--t", "2", "--s", "1", "--max-syll", "7", "--max-exp", "2"],
         ["scan", "--n", "2", "--t", "1", "--s", "-1", "--max-syll", "9", "--max-exp", "1"],
     ]
+    # t0 past degree 8, where the root bracket's bisection starts from the
+    # whole Cauchy interval
+    + [["bounds", "--family", "corner", "--n", str(n)] for n in (9, 12, 17)]
 )
 CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from liegen.exact import Polynomial
+from liegen.exact import DEFAULT_WIDTH, Polynomial
 from liegen.generators import (
     FAMILY_CORNER,
     FAMILY_G2,
@@ -14,7 +14,9 @@ from liegen.pingpong import (
     CONCLUSION_DENSE_ONLY,
     CONCLUSION_FREE_DENSE,
     CONCLUSION_INSUFFICIENT,
+    PingPongBound,
     Region,
+    _bound_from_polys,
     certify_free_dense,
     compute_r0,
     compute_t0,
@@ -109,6 +111,22 @@ class TestBounds:
             second_bound(FAMILY_LOWER, 4)
         with pytest.raises(ValueError):
             second_bound("double_corner", 5)
+
+    def test_false_certificate_refused(self):
+        # (x-1)(x-100)(x-100001/1000) is positive at 1025/1024 and at
+        # 1025/1024 + 1 but negative near 100.0005
+        p = Polynomial([-10000100, 10200101, -201001, 1000])
+        with pytest.raises(ValueError):
+            _bound_from_polys("t_bound", [p], DEFAULT_WIDTH)
+        with pytest.raises(AssertionError):
+            PingPongBound("t_bound", (p,), None, Fraction(1025, 1024))
+
+    # 10 - x^2 is positive at 1/2 and 3/2 but has a negative leading
+    # coefficient; x^2 - 4x - 4 is negative at 1/2; the zero polynomial
+    @pytest.mark.parametrize("coeffs", [[10, 0, -1], [-4, -4, 1], []])
+    def test_witness_refused(self, coeffs):
+        with pytest.raises(AssertionError):
+            PingPongBound("t_bound", (Polynomial(coeffs),), None, Fraction(1, 2))
 
     def test_safe_value_dyadic(self):
         for n in (2, 5, 7):
