@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -44,11 +43,12 @@ def _sparse_bracket(a: dict, b: dict, n: int) -> dict[int, int]:
 def subalgebra_closure(seed: Sequence[Matrix]) -> ClosureResult:
     """Smallest Lie subalgebra of gl(n) containing the seed matrices.
 
-    Round k sets V_k = V_{k-1} + [V_{k-1}, V_{k-1}], until V_k is all of
-    gl(n) or a round adds nothing (that last round doubles as the closure
-    check).  A pair of spanning elements is bracketed once, in the round
-    after its newer member joined.  The basis is canonical, so the result
-    does not depend on the bracket order.
+    Round k brackets each seed s with each element v that round k-1 added.
+    The right-normed brackets [s1, [s2, ..., sk]] span the subalgebra the
+    seeds generate, and ad(s) is linear, so a bracket [s, v] that does not
+    grow the span needs no further bracketing.  ``rounds`` counts the last
+    round, which adds nothing, unless the span is gl(n); a zero seed gives 1.
+    The basis is canonical, so the result does not depend on bracket order.
     """
     if not seed:
         raise ValueError("seed must be nonempty")
@@ -56,24 +56,23 @@ def subalgebra_closure(seed: Sequence[Matrix]) -> ClosureResult:
     if any(m.n != n for m in seed):
         raise ValueError("seed matrices must share a dimension")
     basis = SpanBasis(n)
-    old: list[dict] = []
-    new: list[dict] = []  # spanning elements, grouped by row
+    gens: list[dict] = []  # spanning seeds, grouped by row
     for m in seed:
         v = _int_flatten(m)
         if basis.insert_flat(v):
-            new.append(_by_row(v, n))
+            gens.append(_by_row(v, n))
+    new = gens
     rounds = 0
     while basis.rank < n * n:
         rounds += 1
         found = []
-        for i, a in enumerate(new):
-            for b in itertools.chain(old, new[i + 1 :]):
-                c = _sparse_bracket(a, b, n)
+        for v in new:
+            for s in gens:
+                c = _sparse_bracket(s, v, n)
                 if c and basis.insert_flat(c):
                     found.append(_by_row(c, n))
         if not found:
             break
-        old += new
         new = found
     return ClosureResult(basis=basis, dim=basis.rank, rounds=rounds)
 

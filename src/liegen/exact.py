@@ -330,9 +330,6 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coefficients)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coefficients])
-
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coefficients]})"
 

@@ -187,8 +187,8 @@ class TestClassify:
     @pytest.mark.parametrize(
         "family,ns",
         [
-            (FAMILY_CORNER, range(3, 11)),
-            (FAMILY_DOUBLE_CORNER, range(4, 11)),
+            (FAMILY_CORNER, range(3, 17)),
+            (FAMILY_DOUBLE_CORNER, range(4, 17)),
             (FAMILY_LOWER, range(3, 8)),  # the doubling b-vector
             (FAMILY_G2, [7]),
         ],
@@ -208,7 +208,9 @@ class TestClassify:
 # bracket: the full pairwise sweep (every pair of the spanning set rebracketed
 # in every round) on dense Fraction matrices, with its own Fraction row
 # reduction.  Its echelon rows are scaled to primitive integer rows with a
-# positive pivot, which is the canonical form SpanBasis promises.
+# positive pivot, which is the canonical form SpanBasis promises.  The round
+# count has its own oracle, the filtration by bracket length in
+# ``reference_rounds``.
 
 
 class ReferenceSpan:
@@ -252,7 +254,7 @@ class ReferenceSpan:
 
 
 def reference_closure(seed):
-    """(basis, rounds) of the full pairwise sweep, round for round.
+    """Basis of the full pairwise sweep, repeated until a round adds nothing.
 
     Brackets are memoized by pair (the spanning list only grows), which
     saves arithmetic but inserts every pair's bracket again in every round.
@@ -261,9 +263,7 @@ def reference_closure(seed):
     basis = ReferenceSpan(n)
     spanning = [m for m in seed if basis.insert(m)]
     brackets = {}
-    rounds = 0
     while len(basis.rows) < n * n:
-        rounds += 1
         snapshot = list(spanning)
         added = False
         for i in range(len(snapshot)):
@@ -276,15 +276,52 @@ def reference_closure(seed):
                     added = True
         if not added:
             break
-    return basis, rounds
+    return basis
+
+
+def flat_bracket(a, b, n):
+    """ab - ba of two n x n matrices given as flat row-major lists."""
+    out = [0] * (n * n)
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for ik, u in enumerate(x):
+            if u:
+                i, k = divmod(ik, n)
+                for j, w in enumerate(y[k * n : (k + 1) * n]):
+                    if w:
+                        out[i * n + j] += sign * u * w
+    return out
+
+
+def reference_rounds(seed):
+    """Rounds of the filtration F_0 = span(seed), F_r = F_{r-1} + sum over
+    seeds s of [s, F_{r-1}], each round bracketing the full basis of F_{r-1}.
+
+    It stops as ``subalgebra_closure`` does: at gl(n), or after a round that
+    adds nothing, which is counted.
+    """
+    n = seed[0].n
+    gens = [m.flatten() for m in seed]
+    span = ReferenceSpan(n)
+    for g in gens:
+        span.insert_vector(g)
+    rounds = 0
+    while len(span.rows) < n * n:
+        rounds += 1
+        grown = False
+        for v in list(span.rows.values()):
+            for g in gens:
+                grown |= span.insert_vector(flat_bracket(g, v, n))
+        if not grown:
+            break
+    return rounds
 
 
 def assert_matches_reference(seed):
     res = subalgebra_closure(seed)
-    ref, rounds = reference_closure(seed)
+    ref = reference_closure(seed)
     assert res.dim == len(ref.rows)
-    assert res.rounds == rounds
     assert res.basis.matrices() == ref.matrices()
+    assert res.rounds == reference_rounds(seed)
 
 
 def random_rational_matrix(rng, n):

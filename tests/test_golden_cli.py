@@ -7,7 +7,12 @@ pairs with n = 3..6, one ``certify`` per family, two-file ``closure`` runs,
 each family or kind path of ``gen``, ``bounds``, ``certify`` and ``exp``
 (``certify`` exiting 1 as ``dense_only`` and as ``insufficient`` among
 them), a lower ``scan``, three ``scan`` runs with identity hits, and corner
-``bounds`` at n = 9, 12 and 17, where t0 has degree past 8.  A change that
+``bounds`` at n = 9, 12 and 17, where t0 has degree past 8, and
+``classify`` of the corner pair at n = 12 and the double corner at n = 14.
+``rounds`` is the number of closure rounds: round k brackets each seed with
+each element that round k-1 added, and the final round, which adds nothing,
+is counted unless the span is gl(n); the switch to that right-normed
+closure changed ``rounds``, and only ``rounds``, on purpose.  A change that
 means to keep the output (a refactor or a speed-up) must leave every entry
 as it is, ``rounds`` included.
 
@@ -111,6 +116,11 @@ CASES_WITH_REPEATS = (
     # t0 past degree 8, where the root bracket's bisection starts from the
     # whole Cauchy interval
     + [["bounds", "--family", "corner", "--n", str(n)] for n in (9, 12, 17)]
+    # the type table past n = 10
+    + [
+        ["classify", "--family", "corner", "--n", "12"],
+        ["classify", "--family", "double_corner", "--n", "14"],
+    ]
 )
 CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())
 
