@@ -360,6 +360,16 @@ def _descartes_sign_changes(coeffs: Sequence[Fraction]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _scaled_value(ints: Sequence[int], num: int, den: int) -> int:
+    """den^d * p(num/den) for p with integer coefficients ``ints`` (ascending,
+    degree d) and den > 0: one integer Horner sum with the sign of p(num/den)."""
+    acc, scale = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
+
+
 def isolate_largest_positive_root(
     p: Polynomial, width: Fraction = DEFAULT_WIDTH
 ) -> Optional[RootBracket]:
@@ -369,7 +379,9 @@ def isolate_largest_positive_root(
     change, as every inequality polynomial here has.  One change means one
     positive root with p <= 0 below it and p > 0 above it, so bisection of
     [0, Cauchy bound] returns a bracket with p(lo) <= 0 < p(hi).  Returns
-    None when there is no change, which certifies p > 0 on (0, oo).
+    None when there is no change, which certifies p > 0 on (0, oo).  Each
+    midpoint's sign is one integer sum over the cleared coefficients, a
+    positive multiple of p, so no ``Fraction`` arithmetic runs per step.
     """
     if width <= 0:
         raise ValueError("root bracket width must be positive")
@@ -387,14 +399,16 @@ def isolate_largest_positive_root(
         raise ValueError(f"{changes} Descartes sign changes: the root is not isolated")
 
     upper = Fraction(1) + max(abs(c / cs[-1]) for c in cs[:-1])
-    if p(upper) <= 0:  # cannot happen for a correct Cauchy bound
+    ints = p.integer_coefficients()
+    u, v = upper.numerator, upper.denominator
+    if _scaled_value(ints, u, v) <= 0:  # cannot happen for a correct Cauchy bound
         raise AssertionError("Cauchy bound violated")
 
-    lo, hi = Fraction(0), upper
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if p(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return RootBracket(lo=lo, hi=hi)
+    # level k splits [0, upper] into brackets [u*j, u*(j+1)] / (v * 2^k);
+    # the midpoint of bracket j is u*(2j+1) / (v * 2^(k+1))
+    j = k = 0
+    while u * width.denominator > width.numerator * (v << k):
+        j, k = 2 * j, k + 1
+        if _scaled_value(ints, u * (j + 1), v << k) <= 0:
+            j += 1
+    return RootBracket(lo=Fraction(u * j, v << k), hi=Fraction(u * (j + 1), v << k))

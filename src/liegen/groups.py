@@ -139,7 +139,8 @@ class ScanReport:
 
 
 # Most reduced words of up to ceil(L/2) syllables that one scan may multiply
-# out and hold in memory; a larger scan is refused as bad input.
+# out and hold in memory, and most identity words it may collect; a larger
+# scan is refused as bad input.
 MAX_HALF_WORDS = 50_000
 
 
@@ -222,6 +223,10 @@ def freeness_scan(
             for tail in table.get((k, prod), ()):
                 mirror = tuple((g, -e) for g, e in reversed(tail))
                 hits += [u + mirror for u in heads if not tail or u[-1][0] != tail[-1][0]]
+                if len(hits) > MAX_HALF_WORDS:
+                    raise ValueError(
+                        f"more than {MAX_HALF_WORDS} identity words exceed the work cap"
+                    )
 
     return ScanReport(
         n=n,

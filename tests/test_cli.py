@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from liegen import groups
 from liegen.cli import main, matrix_from_doc, matrix_to_doc
 from liegen.exact import Matrix
 from liegen.groups import exp_lower, exp_upper
@@ -308,6 +309,16 @@ class TestBadInput:
         code, err = run_bad(capsys, "scan", "--n", "2", "--t", "1", "--s", "1",
                             "--max-syll", "30", "--max-exp", "1")
         assert code == 2 and "work cap" in err
+
+    def test_scan_with_more_identity_words_than_the_cap_exits_2(self, capsys, monkeypatch):
+        """s = 0 makes b(s) the identity: 12 half-words, 22 identity words."""
+        argv = ["scan", "--n", "2", "--t", "1", "--s", "0", "--max-syll", "4", "--max-exp", "1"]
+        monkeypatch.setattr(groups, "MAX_HALF_WORDS", 22)
+        code, doc = run(capsys, *argv)
+        assert code == 1 and len(doc["collisions"]) == 22
+        monkeypatch.setattr(groups, "MAX_HALF_WORDS", 21)
+        code, err = run_bad(capsys, *argv)
+        assert code == 2 and "more than 21 identity words exceed the work cap" in err
 
     def test_scan_has_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,6 +12,7 @@ from liegen.exact import (
     bracket,
     isolate_largest_positive_root,
 )
+from liegen.pingpong import r_inequalities, t_inequality
 
 
 def rand_matrix(rng, n, lo=-9, hi=9):
@@ -227,3 +228,63 @@ class TestRootIsolation:
         assert p(Fraction(1000005, 10000)) < 0
         with pytest.raises(ValueError, match="sign changes"):
             isolate_largest_positive_root(p)
+
+
+def fraction_bisection(p, width):
+    """The ``Fraction`` bisection that the integer kernel replaced, kept as a
+    reference: every midpoint evaluated by ``Polynomial.__call__``."""
+    cs = p.coefficients
+    upper = Fraction(1) + max(abs(c / cs[-1]) for c in cs[:-1])
+    lo, hi = Fraction(0), upper
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if p(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def random_b_vectors(rng, n, count):
+    """Nonzero b-vectors of length n - 1, integer and fractional."""
+    for _ in range(count):
+        yield [
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 2, 3, 4]))
+            for _ in range(n - 1)
+        ]
+
+
+class TestIntegerBisectionMatchesFractionBisection:
+    """The integer kernel takes the same decision at every midpoint as the
+    ``Fraction`` loop, so the brackets are equal, not merely both valid.
+    Every polynomial here has exactly one Descartes sign change; widths are
+    2^-log_width."""
+
+    LOG_WIDTHS = [1, 40, 160, 256]
+
+    def check(self, p, log_width):
+        width = Fraction(1, 2**log_width)
+        br = isolate_largest_positive_root(p, width)
+        assert (br.lo, br.hi) == fraction_bisection(p, width)
+
+    @pytest.mark.parametrize("log_width", LOG_WIDTHS)
+    def test_t_inequalities(self, log_width):
+        for n in range(2, 41):
+            self.check(t_inequality(n), log_width)
+
+    @pytest.mark.parametrize("log_width", LOG_WIDTHS)
+    def test_r_inequalities_of_seeded_b_vectors(self, log_width):
+        rng = random.Random(9)
+        for n in range(3, 13):
+            for b in random_b_vectors(rng, n, 2):
+                for p in r_inequalities(n, b):
+                    self.check(p, log_width)
+
+    @pytest.mark.parametrize("log_width", LOG_WIDTHS)
+    def test_fractional_coefficients(self, log_width):
+        rng = random.Random(11)
+        for degree in range(1, 13):
+            low = [Fraction(-rng.randint(0, 50), rng.randint(1, 30)) for _ in range(degree)]
+            low[0] = Fraction(-rng.randint(1, 50), rng.randint(1, 30))
+            lead = Fraction(rng.randint(1, 50), rng.randint(1, 30))
+            self.check(Polynomial(low + [lead]), log_width)

@@ -8,7 +8,11 @@ each family or kind path of ``gen``, ``bounds``, ``certify`` and ``exp``
 (``certify`` exiting 1 as ``dense_only`` and as ``insufficient`` among
 them), a lower ``scan``, three ``scan`` runs with identity hits, and corner
 ``bounds`` at n = 9, 12 and 17, where t0 has degree past 8, and
-``classify`` of the corner pair at n = 12 and the double corner at n = 14.
+``classify`` of the corner pair at n = 12 and the double corner at n = 14,
+and fine root brackets: corner ``bounds`` at n = 40 (the benchmark's
+largest) to width 2^-256 (the finest accepted), lower ``bounds`` at n = 12
+with a fractional b-vector to width 2^-160 (the benchmark's finest), and
+G2 ``certify`` to width 2^-100.
 ``rounds`` is the number of closure rounds: round k brackets each seed with
 each element that round k-1 added, and the final round, which adds nothing,
 is counted unless the span is gl(n); the switch to that right-normed
@@ -120,6 +124,15 @@ CASES_WITH_REPEATS = (
     + [
         ["classify", "--family", "corner", "--n", "12"],
         ["classify", "--family", "double_corner", "--n", "14"],
+    ]
+    # fine root brackets at the largest sizes the benchmark reaches, with a
+    # fractional lower b-vector
+    + [
+        ["bounds", "--family", "corner", "--n", "40", "--width", f"1/{2**256}"],
+        ["bounds", "--family", "lower", "--n", "12",
+         "--b", "1/2,-3,5/4,2,-7/3,1,3/2,-1,4,-5/2,6", "--width", f"1/{2**160}"],
+        ["certify", "--family", "g2", "--t", "17", "--r", "17",
+         "--width", f"1/{2**100}"],
     ]
 )
 CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())
