@@ -2,12 +2,15 @@
 
 All numeric output is exact ("p/q" strings); decimal values appear only in
 auxiliary "approx" fields.  Exit codes: 0 success / certified / clean scan,
-1 unrecognized / insufficient / collision, 2 bad input.
+1 unrecognized / insufficient / collision, 2 bad input, 3 internal error.
+``main`` may be called repeatedly in one process; every call parses with
+the one parser that ``build_parser`` builds on first use.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -95,8 +98,9 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_b(spec: str, n: int) -> tuple[Fraction, ...]:
-    if spec == "doubling":
+def _parse_b(spec: Optional[str], n: int) -> tuple[Fraction, ...]:
+    """The b-vector of ``--b``; absent or "doubling" means the doubling vector."""
+    if spec is None or spec == "doubling":
         return doubling_bvector(n)
     b = tuple(Fraction(x.strip()) for x in spec.split(","))
     if len(b) != n - 1:
@@ -118,7 +122,11 @@ def _family_size(args: argparse.Namespace) -> tuple[int, Optional[tuple[Fraction
     n = fam.size(args.n)
     if n is None:
         raise ValueError("--n is required for this family")
-    return n, _parse_b(args.b or "doubling", n) if fam.takes_b else None
+    return n, _parse_b(args.b, n) if fam.takes_b else None
+
+
+def _width(args: argparse.Namespace) -> Fraction:
+    return DEFAULT_WIDTH if args.width is None else Fraction(args.width)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -169,7 +177,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     n, b = _family_size(args)
-    width = Fraction(args.width) if args.width else DEFAULT_WIDTH
+    width = _width(args)
     doc: dict = {"width": str(width), "family": args.family, "n": n}
     if b is not None:
         doc["b"] = [str(x) for x in b]
@@ -190,7 +198,7 @@ def cmd_exp(args: argparse.Namespace) -> int:
     elif args.kind == "corner":
         g = exp_corner(value, args.n)
     else:
-        g = exp_lower(value, _parse_b(args.b or "doubling", args.n))
+        g = exp_lower(value, _parse_b(args.b, args.n))
     _emit({"kind": args.kind, "n": args.n, "matrix": matrix_to_doc(g)})
     return 0
 
@@ -224,8 +232,8 @@ def certificate_to_doc(cert: Certificate, width: Fraction) -> dict:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     n, b = _family_size(args)
-    width = Fraction(args.width) if args.width else DEFAULT_WIDTH
-    s, r = (Fraction(v) if v else None for v in (args.s, args.r))
+    width = _width(args)
+    s, r = (Fraction(v) if v is not None else None for v in (args.s, args.r))
     cert = certify_free_dense(n, args.family, t=Fraction(args.t), s=s, r=r, b=b, width=width)
     _emit(certificate_to_doc(cert, width))
     return 0 if cert.conclusion == CONCLUSION_FREE_DENSE else 1
@@ -241,7 +249,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         t=Fraction(args.t),
         s=Fraction(args.s) if args.s is not None else None,
         r=Fraction(args.r) if lower else None,
-        b=_parse_b(args.b or "doubling", args.n) if lower else None,
+        b=_parse_b(args.b, args.n) if lower else None,
         max_syllables=args.max_syll,
         max_exponent=args.max_exp,
     )
@@ -273,7 +281,10 @@ def cmd_thin(args: argparse.Namespace) -> int:
     return 0 if pair.certified else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; callers must not
+    mutate it."""
     parser = argparse.ArgumentParser(
         prog="liegen",
         description="Exact generator pairs, density and freeness certificates",
@@ -353,15 +364,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one invocation and return its exit code; argparse errors raise
+    ``SystemExit(2)``."""
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        # Before Python 3.13, argparse reads "--opt=--" as an empty list.
+        for dest, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
         return args.func(args)
     except (
         ValueError, ZeroDivisionError, OSError, json.JSONDecodeError, KeyError
     ) as exc:
         print(f"liegen: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"liegen: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

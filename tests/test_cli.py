@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from liegen import groups
+from liegen import cli, groups
 from liegen.cli import main, matrix_from_doc, matrix_to_doc
 from liegen.exact import Matrix
 from liegen.groups import exp_lower, exp_upper
@@ -320,11 +320,52 @@ class TestBadInput:
         code, err = run_bad(capsys, *argv)
         assert code == 2 and "more than 21 identity words exceed the work cap" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--family=corner", "--n=3", "--width="],
+        ["classify", "--family=lower", "--n=4", "--b="],
+        ["gen", "--family=lower", "--n=4", "--b="],
+        ["certify", "--family=lower", "--n=4", "--t=9", "--r=5", "--b="],
+        ["certify", "--family=corner", "--n=4", "--t=8", "--s="],
+        ["exp", "--kind=lower", "--n=4", "--r=1/2", "--b="],
+        ["scan", "--n=3", "--t=5", "--r=3", "--b="],
+    ])
+    def test_empty_flag_value_exits_2_and_is_never_the_default(self, capsys, argv):
+        code, err = run_bad(capsys, *argv)
+        assert code == 2 and "Invalid literal for Fraction: ''" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family=corner", "--n=4", "--t=--", "--s=3"],
+        ["classify", "--family=lower", "--n=4", "--b=--"],
+        ["scan", "--n=--", "--t=5", "--s=3"],
+    ])
+    def test_double_dash_value_exits_2(self, capsys, argv):
+        """Python 3.13 passes "--" on as the value; earlier versions parse it
+        as an empty list, which the parser refuses."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+
     def test_scan_has_no_seed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--n", "2", "--t", "3", "--s", "3", "--seed", "1"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    """The parser keeps the ``cmd_*`` functions it was built with, so the
+    fault goes into what ``cmd_gen`` calls."""
+    def broken(*args):
+        raise AssertionError("pair check failed")
+
+    monkeypatch.setattr(cli, "build_pair", broken)
+    code = main(["gen", "--family", "corner", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "liegen: internal error: AssertionError: pair check failed\n"
 
 
 @pytest.mark.parametrize("module", ["liegen", "liegen.cli"])

@@ -1,0 +1,84 @@
+"""Fuzz of ``liegen.cli.main``: every outcome is a documented one.
+
+Random argv lists, written ``--opt=value`` so that empty and dash-led values
+reach the parser as values, each either return 0, 1 or 2 or raise argparse's
+``SystemExit(2)``; exit 3 (an internal error), any other exception and a
+traceback on standard error all fail.  hypothesis is an optional test
+dependency: without it this module is skipped.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+
+import pytest
+
+from liegen.cli import main
+from liegen.generators import FAMILIES
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+SETTINGS = hypothesis.settings(
+    max_examples=200, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[hypothesis.HealthCheck.too_slow],
+)
+
+# The flags of each subcommand (``closure`` reads files and is left out).
+FLAGS = {
+    "gen": ("family", "n", "b"),
+    "classify": ("family", "n", "b"),
+    "bounds": ("family", "n", "b", "width"),
+    "exp": ("kind", "n", "t", "s", "r", "b"),
+    "certify": ("family", "n", "t", "s", "r", "b", "width"),
+    "scan": ("n", "t", "s", "r", "b", "max-syll", "max-exp"),
+    "thin": ("n", "q", "s"),
+}
+# Good, empty and malformed values alike.
+VALUES = (
+    "0", "1", "3", "-1", "17", "1/2", "-5/3", "1/1024", "1e3", "0.5",
+    "", " ", "x", "1/0", "nan", "--", "doubling", "1,2", "3,-5,7", "1,,2",
+    "1,2,3,4,5,6",
+)
+FAMILY_NAMES = sorted({*FAMILIES, *(f.alias for f in FAMILIES.values()), "nonsense", ""})
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag in FLAGS[command]:
+        if not draw(st.booleans()):
+            continue
+        if flag == "family":
+            value = draw(st.sampled_from(FAMILY_NAMES))
+        elif flag == "kind":
+            value = draw(st.sampled_from(["upper", "corner", "lower", "x"]))
+        elif flag == "n":
+            value = str(draw(st.integers(-2, 8)))
+        elif flag == "max-syll":
+            value = str(draw(st.integers(-1, 4)))
+        elif flag == "max-exp":
+            value = str(draw(st.integers(-1, 3)))
+        else:
+            value = draw(st.sampled_from(VALUES))
+        argv.append(f"--{flag}={value}")
+    return argv
+
+
+@SETTINGS
+@hypothesis.given(argvs())
+def test_every_outcome_is_documented(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("liegen: error: ") and err.getvalue().count("\n") == 1

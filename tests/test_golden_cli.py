@@ -12,7 +12,8 @@ them), a lower ``scan``, three ``scan`` runs with identity hits, and corner
 and fine root brackets: corner ``bounds`` at n = 40 (the benchmark's
 largest) to width 2^-256 (the finest accepted), lower ``bounds`` at n = 12
 with a fractional b-vector to width 2^-160 (the benchmark's finest), and
-G2 ``certify`` to width 2^-100.
+G2 ``certify`` to width 2^-100, and invocations with an empty flag value,
+which exit 2 with nothing on standard output.
 ``rounds`` is the number of closure rounds: round k brackets each seed with
 each element that round k-1 added, and the final round, which adds nothing,
 is counted unless the span is gl(n); the switch to that right-normed
@@ -34,7 +35,7 @@ import pathlib
 
 import pytest
 
-from liegen.cli import main
+from liegen.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 
@@ -134,6 +135,18 @@ CASES_WITH_REPEATS = (
         ["certify", "--family", "g2", "--t", "17", "--r", "17",
          "--width", f"1/{2**100}"],
     ]
+    # an empty flag value is bad input (exit 2), never the flag's default
+    + [
+        ["bounds", "--family=corner", "--n=3", "--width="],
+        ["classify", "--family=lower", "--n=4", "--b="],
+        ["gen", "--family=lower", "--n=4", "--b="],
+        ["bounds", "--family=lower", "--n=4", "--b="],
+        ["certify", "--family=lower", "--n=4", "--t=9", "--r=5", "--b="],
+        ["certify", "--family=corner", "--n=4", "--t=8", "--s="],
+        ["certify", "--family=corner", "--n=4", "--t=8", "--s=3", "--width="],
+        ["exp", "--kind=lower", "--n=4", "--r=1/2", "--b="],
+        ["scan", "--n=3", "--t=5", "--r=3", "--b="],
+    ]
 )
 CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())
 
@@ -164,6 +177,25 @@ def test_output_is_byte_identical(argv, tmp_path):
 
 def test_golden_file_covers_every_case():
     assert sorted(_golden()) == sorted(" ".join(a) for a in CASES)
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path):
+    """Every case forward, two failing calls, every case in reverse: one
+    parser serves them all and each call still matches the golden file."""
+    golden = _golden()
+
+    def replay(cases):
+        for argv in cases:
+            expected = golden[" ".join(argv)]
+            assert run_case(argv, tmp_path) == (expected["exit"], expected["stdout"]), argv
+
+    replay(CASES)
+    with pytest.raises(SystemExit) as exc:
+        run_case(["certify", "--family", "corner", "--n", "x", "--t", "8"], tmp_path)
+    assert exc.value.code == 2
+    assert run_case(["gen", "--family", "lower", "--n", "4", "--b", "1,2"], tmp_path) == (2, "")
+    replay(reversed(CASES))
+    assert build_parser() is build_parser()
 
 
 if __name__ == "__main__":
