@@ -62,13 +62,21 @@ def _poly_doc(p: Polynomial) -> dict:
     }
 
 
+def _approx(x: Fraction) -> Optional[float]:
+    """x as a float, or None (JSON null) when x lies past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
 def _bracket_doc(br: Optional[RootBracket]) -> Optional[dict]:
     if br is None:
         return None
     return {
         "lo": str(br.lo),
         "hi": str(br.hi),
-        "approx": float((br.lo + br.hi) / 2),
+        "approx": _approx((br.lo + br.hi) / 2),
     }
 
 
@@ -78,7 +86,7 @@ def _bound_doc(bound: PingPongBound) -> dict:
         "polynomials": [_poly_doc(p) for p in bound.polys],
         "bracket": _bracket_doc(bound.bracket),
         "safe_value": str(bound.safe_value),
-        "safe_value_approx": float(bound.safe_value),
+        "safe_value_approx": _approx(bound.safe_value),
     }
 
 

@@ -1,14 +1,13 @@
-"""Lie subalgebra closure, dimension-based type classification, bracket identities."""
+"""Lie subalgebra closure and dimension-based type classification."""
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .exact import Matrix, SpanBasis, _int_flatten, bracket
-from .generators import FAMILY_CORNER, FAMILY_DOUBLE_CORNER, lookup_family
+from .exact import Matrix, SpanBasis, _int_flatten
+from .generators import lookup_family
 
 
 @dataclass(frozen=True)
@@ -125,47 +124,3 @@ def predicted_type(family: str, n: int) -> TypeLabel:
     fam = lookup_family(family)
     fam.check(n)
     return _type_of(n, fam.target_dim(n))
-
-
-def c_shift(s: int, i: int) -> int:
-    """C(s, i) = binom(s, i) - binom(s, i-1); zero outside -1 < i < s+2."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if i < 0 or i > s + 1:
-        return 0
-    return math.comb(s, i) - (math.comb(s, i - 1) if i >= 1 else 0)
-
-
-def iterated_bracket(x: Matrix, y: Matrix, s: int) -> Matrix:
-    """The s-fold left bracket [x, [x, ... [x, y]]]; s = 0 gives y."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    cap = 4 * x.n
-    result = y
-    for step in range(s):
-        if result.is_zero():
-            return result
-        if step >= cap:
-            raise ValueError(
-                f"iterated bracket not ad-nilpotent within {cap} steps"
-            )
-        result = bracket(x, result)
-    return result
-
-
-def closed_form_bracket(n: int, s: int, variant: str) -> Matrix:
-    """Closed form of [x^s, y] for the shift x and the corner / double corner y."""
-    if not 0 <= s <= 2 * n:
-        raise ValueError("s out of range")
-    terms = []
-    if variant == FAMILY_CORNER:
-        for i in range(max(0, s - n + 1), min(s, n - 1) + 1):
-            coeff = (-1) ** i * math.comb(s, i)
-            terms.append((n - s + i, i + 1, coeff))
-    elif variant == FAMILY_DOUBLE_CORNER:
-        for i in range(max(0, s - n + 2), min(s + 1, n - 1) + 1):
-            coeff = (-1) ** i * c_shift(s, i)
-            terms.append((n - s + i - 1, i + 1, coeff))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return Matrix.from_units(n, terms) if terms else Matrix.zero(n)

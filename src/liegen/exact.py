@@ -103,18 +103,6 @@ class Matrix:
     def __rmul__(self, other: Scalar) -> "Matrix":
         return Matrix([[other * a for a in row] for row in self.rows])
 
-    def __pow__(self, k: int) -> "Matrix":
-        if k < 0:
-            raise ValueError("negative matrix powers not supported")
-        result = Matrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix) and self.n == other.n and self.rows == other.rows
@@ -135,19 +123,8 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.rows)))
 
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.n)), Fraction(0))
-
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.rows)
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.rows[i][j] == 0
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j
-        )
 
     def nilpotency_index(self) -> Optional[int]:
         """Smallest k with M^k = 0, or None if M^n != 0."""
@@ -160,34 +137,6 @@ class Matrix:
 
     def is_nilpotent(self) -> bool:
         return self.nilpotency_index() is not None
-
-    def det(self) -> Fraction:
-        """Determinant by exact Gaussian elimination."""
-        a = [list(row) for row in self.rows]
-        n = self.n
-        sign = 1
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                sign = -sign
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = a[r][col] * inv
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return sign * det
-
-    def apply(self, v: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        """Matrix times column vector."""
-        if len(v) != self.n:
-            raise ValueError("vector length mismatch")
-        vv = [_rat(x) for x in v]
-        return tuple(sum(a * b for a, b in zip(row, vv)) for row in self.rows)
 
     def flatten(self) -> tuple[Fraction, ...]:
         """Row-major flattening to a vector of length n^2."""

@@ -2,8 +2,8 @@
 
 Builds the shift matrix x = sum e_{i,i+1} together with the various
 "second" generators (corner e_{n,1}, double corner e_{n-1,1}+e_{n,2},
-lower bidiagonal sum b_i e_{i+1,i}, and the 7x7 G2 pair), plus the two
-distinctness criteria that certify generation.
+lower bidiagonal sum b_i e_{i+1,i}, and the 7x7 G2 pair), plus the
+distinctness criterion of Proposition 2 that certifies generation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .exact import Matrix, Scalar, bracket, _rat
+from .exact import Matrix, Scalar, _rat
 
 FAMILY_CORNER = "corner"
 FAMILY_DOUBLE_CORNER = "double_corner"
@@ -93,6 +93,12 @@ def shift_matrix(n: int) -> Matrix:
     return Matrix.from_units(n, [(i, i + 1, 1) for i in range(1, n)])
 
 
+def lower_bidiagonal(b: Sequence[Fraction]) -> Matrix:
+    """z = sum b_i e_{i+1,i}, of size len(b) + 1."""
+    n = len(b) + 1
+    return Matrix.from_units(n, [(i + 1, i, b[i - 1]) for i in range(1, n)])
+
+
 def shift_pair(n: int, family: str = FAMILY_CORNER) -> GeneratorPair:
     """Shift x with corner y = e_{n,1}, or double corner y = e_{n-1,1} + e_{n,2}."""
     fam = lookup_family(family)
@@ -110,8 +116,8 @@ def lower_pair(b: Sequence[Scalar]) -> GeneratorPair:
         raise ValueError("all b_i must be nonzero")
     n = len(bs) + 1
     FAMILIES[FAMILY_LOWER].check(n)
-    z = Matrix.from_units(n, [(i + 1, i, bs[i - 1]) for i in range(1, n)])
-    return GeneratorPair(n=n, first=shift_matrix(n), second=z, family=FAMILY_LOWER, b=bs)
+    return GeneratorPair(n=n, first=shift_matrix(n), second=lower_bidiagonal(bs),
+                         family=FAMILY_LOWER, b=bs)
 
 
 def doubling_bvector(n: int) -> tuple[Fraction, ...]:
@@ -123,20 +129,10 @@ def doubling_bvector(n: int) -> tuple[Fraction, ...]:
     )
 
 
-def g2_pieces() -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """The four 7x7 root-vector matrices (x1, x2, y1, y2) of the G2 realization."""
-    x1 = Matrix.from_units(7, [(2, 3, 1), (5, 6, 1)])
-    y1 = Matrix.from_units(7, [(3, 2, 1), (6, 5, 1)])
-    x2 = Matrix.from_units(7, [(1, 2, 1), (3, 4, 1), (4, 5, 1), (6, 7, 1)])
-    y2 = Matrix.from_units(7, [(2, 1, 1), (4, 3, 2), (5, 4, 2), (7, 6, 1)])
-    return x1, x2, y1, y2
-
-
 def g2_pair() -> GeneratorPair:
-    """The G2 pair: x = x1 + x2 (the full shift) and z = -y1 + y2, which is
-    the lower bidiagonal matrix of G2_LOWER_B."""
-    x1, x2, y1, y2 = g2_pieces()
-    return GeneratorPair(n=7, first=x1 + x2, second=-y1 + y2, family=FAMILY_G2)
+    """The G2 pair: the shift x and the lower bidiagonal z of G2_LOWER_B."""
+    return GeneratorPair(n=7, first=shift_matrix(7), second=lower_bidiagonal(G2_LOWER_B),
+                         family=FAMILY_G2)
 
 
 def build_pair(family: str, n: int, b: Optional[Sequence[Scalar]] = None) -> GeneratorPair:
@@ -150,73 +146,6 @@ def build_pair(family: str, n: int, b: Optional[Sequence[Scalar]] = None) -> Gen
             raise ValueError("the lower family needs a b-vector of length n - 1")
         return lower_pair(b)
     return g2_pair()
-
-
-#: Cartan matrix of type G2 in the ordering used by g2_canonical.
-G2_CARTAN = ((2, -3), (-1, 2))
-
-
-@dataclass(frozen=True)
-class CanonicalGenerators:
-    """Canonical generator triples (x_i, y_i, h_i) with their Cartan matrix."""
-
-    rank: int
-    x_list: tuple[Matrix, ...]
-    y_list: tuple[Matrix, ...]
-    h_list: tuple[Matrix, ...]
-    cartan: tuple[tuple[int, ...], ...]
-
-    def relation_failures(self) -> list[str]:
-        """All canonical relations that fail to hold exactly (empty if none)."""
-        bad = []
-        ell = self.rank
-        c = self.cartan
-        n = self.x_list[0].n
-        zero = Matrix.zero(n)
-        for i in range(ell):
-            for j in range(ell):
-                if bracket(self.h_list[i], self.h_list[j]) != zero:
-                    bad.append(f"[h{i+1},h{j+1}] != 0")
-                if bracket(self.h_list[i], self.x_list[j]) != c[j][i] * self.x_list[j]:
-                    bad.append(f"[h{i+1},x{j+1}] != C({j+1},{i+1}) x{j+1}")
-                if bracket(self.h_list[i], self.y_list[j]) != -c[j][i] * self.y_list[j]:
-                    bad.append(f"[h{i+1},y{j+1}] != -C({j+1},{i+1}) y{j+1}")
-                expected = self.h_list[i] if i == j else zero
-                if bracket(self.x_list[i], self.y_list[j]) != expected:
-                    bad.append(f"[x{i+1},y{j+1}] wrong")
-        return bad
-
-    def verify(self) -> None:
-        bad = self.relation_failures()
-        if bad:
-            raise AssertionError("canonical relations violated: " + "; ".join(bad))
-
-
-def g2_canonical() -> CanonicalGenerators:
-    """Canonical generators of G2 inside sl(7), with relations verified."""
-    x1, x2, y1, y2 = g2_pieces()
-    gens = CanonicalGenerators(
-        rank=2,
-        x_list=(x1, x2),
-        y_list=(y1, y2),
-        h_list=(bracket(x1, y1), bracket(x2, y2)),
-        cartan=G2_CARTAN,
-    )
-    gens.verify()
-    return gens
-
-
-def diagram_automorphism(a: Matrix) -> Matrix:
-    """The order-2 automorphism e_{i,j} -> (-1)^{i-j+1} e_{n-j+1,n-i+1}."""
-    n = a.n
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            c = a[i, j]
-            if c:
-                sign = -1 if (i - j) % 2 == 0 else 1
-                rows[n - j][n - i] += sign * c
-    return Matrix(rows)
 
 
 @dataclass(frozen=True)
@@ -254,16 +183,6 @@ def prop2_criterion(
         raise ValueError("all b_i must be nonzero")
     v = tuple(sum(_rat(c) * x for c, x in zip(row, bs)) for row in rows)
     return CriterionResult(holds=_plus_minus_distinct(v), values=v)
-
-
-def prop1_criterion(h: Matrix) -> CriterionResult:
-    """sl(n) specialization: root values are consecutive diagonal differences."""
-    if not h.is_diagonal():
-        raise ValueError("h must be diagonal")
-    if h.trace() != 0:
-        raise ValueError("h must be traceless")
-    diffs = tuple(h[i, i] - h[i + 1, i + 1] for i in range(1, h.n))
-    return CriterionResult(holds=_plus_minus_distinct(diffs), values=diffs)
 
 
 def type_a_cartan(ell: int) -> tuple[tuple[int, ...], ...]:

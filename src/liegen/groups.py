@@ -1,4 +1,4 @@
-"""Exact exponentials of the nilpotent generators, word evaluation, freeness scans.
+"""Exact exponentials of the nilpotent generators, freeness scans, thin pairs.
 
 a(t) = exp(t x) for the shift x, b(s) = exp(s e_{n,1}), c(r) = exp(r z)
 for lower bidiagonal z; all are triangular with polynomial entries, so
@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exact import Matrix, Scalar, _rat
-from .generators import diagram_automorphism
 
 
 def exp_upper(t: Scalar, n: int) -> Matrix:
@@ -63,20 +62,6 @@ def exp_lower(r: Scalar, b: Sequence[Scalar]) -> Matrix:
     return Matrix(rows)
 
 
-def exp_nilpotent(m: Matrix, t: Scalar) -> Matrix:
-    """exp(t m) for nilpotent m, by the (finite) exponential series."""
-    idx = m.nilpotency_index()
-    if idx is None:
-        raise ValueError("matrix is not nilpotent")
-    t = _rat(t)
-    total = Matrix.identity(m.n)
-    power = Matrix.identity(m.n)
-    for k in range(1, idx):
-        power = power * m
-        total = total + (t**k / math.factorial(k)) * power
-    return total
-
-
 @dataclass(frozen=True)
 class Word:
     """Reduced alternating word in two generator symbols "A" and "B"."""
@@ -107,19 +92,6 @@ GeneratorMap = Callable[[int], Matrix]
 def one_parameter_power(gen: Callable[[Scalar], Matrix], param: Scalar) -> GeneratorMap:
     """Power map m -> gen(m * param) for a one-parameter subgroup."""
     return lambda m: gen(m * _rat(param))
-
-
-def word_eval(word: Word, gen_a: GeneratorMap, gen_b: GeneratorMap) -> Matrix:
-    """Product of the word's syllables, left to right."""
-    maps = {"A": gen_a, "B": gen_b}
-    result: Optional[Matrix] = None
-    for gen, exp in word.syllables:
-        m = maps[gen](exp)
-        result = m if result is None else result * m
-    if result is None:
-        probe = gen_a(1)
-        return Matrix.identity(probe.n)
-    return result
 
 
 @dataclass
@@ -280,31 +252,11 @@ def thin_pair(n: int, q: int, s: int) -> ThinPair:
     )
 
 
-@dataclass(frozen=True)
-class FormMatrix:
-    """Anti-diagonal sign matrix J with phi(z) = -J z^T J^{-1}."""
+def form_matrix(n: int) -> Matrix:
+    """J = sum_i (-1)^i e_{i, n+1-i}: alternating for n even, symmetric for n odd.
 
-    n: int
-    j: Matrix
-
-
-def form_matrix(n: int) -> FormMatrix:
-    """J = sum_i (-1)^i e_{i, n+1-i}: alternating for n even, symmetric for n odd."""
+    -J z^T J^-1 is the diagram automorphism e_{i,j} -> (-1)^{i-j+1} e_{n-j+1,n-i+1}.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-    j = Matrix.from_units(n, [(i, n + 1 - i, (-1) ** i) for i in range(1, n + 1)])
-    # frozen sign convention: J realizes the diagram automorphism
-    assert diagram_automorphism(Matrix.unit(n, 1, 2)) == _conjugate(Matrix.unit(n, 1, 2), j)
-    return FormMatrix(n=n, j=j)
-
-
-def _conjugate(z: Matrix, j: Matrix) -> Matrix:
-    jt = j * j
-    sigma = jt[1, 1]  # J^2 = sigma * identity
-    jinv = sigma * j
-    return -1 * (j * z.transpose() * jinv)
-
-
-def check_form(g: Matrix, form: FormMatrix) -> bool:
-    """Whether g preserves the bilinear form: g^T J g = J."""
-    return g.transpose() * form.j * g == form.j
+    return Matrix.from_units(n, [(i, n + 1 - i, (-1) ** i) for i in range(1, n + 1)])

@@ -10,14 +10,12 @@ clears the bound r0 from a family of n-1 polynomials.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import (
     DEFAULT_WIDTH,
-    Matrix,
     Polynomial,
     RootBracket,
     Scalar,
@@ -27,28 +25,7 @@ from .exact import (
 )
 from .closure import ClosureResult, TypeLabel, classify, predicted_type, subalgebra_closure
 from .generators import GeneratorPair, build_pair, lookup_family
-from .groups import exp_corner, exp_lower, exp_upper, lower_coefficient
-
-
-@dataclass(frozen=True)
-class Region:
-    """Dominance region: X1 (first coordinate wins) or X2 (last coordinate wins)."""
-
-    kind: str  # "X1" | "X2"
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("X1", "X2"):
-            raise ValueError(f"unknown region kind {self.kind!r}")
-
-
-def in_region(v: Sequence[Scalar], region: Region) -> bool:
-    """Strict membership test with exact absolute-value comparisons."""
-    if len(v) != region.n:
-        raise ValueError("vector length mismatch")
-    mags = [abs(_rat(x)) for x in v]
-    top = 0 if region.kind == "X1" else len(mags) - 1
-    return all(mags[top] > m for i, m in enumerate(mags) if i != top)
+from .groups import lower_coefficient
 
 
 def t_inequality(n: int) -> Polynomial:
@@ -157,80 +134,6 @@ def second_bound(
     if b is None:
         raise ValueError("the lower family needs the b-vector")
     return compute_r0(n, b, width)
-
-
-@dataclass
-class SpotcheckReport:
-    """Randomized exact check of a region inclusion at a certified parameter."""
-
-    kind: str  # "a" | "b" | "c"
-    n: int
-    parameter: Fraction
-    m_values: tuple[int, ...]
-    samples: int
-    seed: int
-    violations: list[tuple]
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-
-def pingpong_spotcheck(
-    n: int,
-    kind: str,
-    parameter: Scalar,
-    b: Optional[Sequence[Scalar]] = None,
-    m_values: Sequence[int] = (-3, -2, -1, 1, 2, 3),
-    samples: int = 200,
-    seed: int = 0,
-) -> SpotcheckReport:
-    """Sample the source region and verify the target inclusion exactly.
-
-    Refuses parameters at or below the certified bound, where the
-    inclusion carries no guarantee.  Any violation at a certified
-    parameter indicates a bug.
-    """
-    parameter = _rat(parameter)
-    if any(m == 0 for m in m_values):
-        raise ValueError("m = 0 is excluded")
-    if kind == "a":
-        bound = compute_t0(n).safe_value
-        source, target = Region("X2", n), Region("X1", n)
-        powered = lambda m: exp_upper(m * parameter, n)
-    elif kind == "b":
-        bound = s0()
-        source, target = Region("X1", n), Region("X2", n)
-        powered = lambda m: exp_corner(m * parameter, n)
-    elif kind == "c":
-        if b is None:
-            raise ValueError("kind 'c' needs the b-vector")
-        bound = compute_r0(n, b).safe_value
-        source, target = Region("X1", n), Region("X2", n)
-        powered = lambda m: exp_lower(m * parameter, b)
-    else:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    if abs(parameter) <= bound:
-        raise ValueError(
-            f"parameter {parameter} does not exceed the certified bound {bound}"
-        )
-
-    rng = random.Random(seed)
-    mats = {m: powered(m) for m in m_values}
-    violations: list[tuple] = []
-    for _ in range(samples):
-        while True:
-            v = tuple(Fraction(rng.randint(-100, 100)) for _ in range(n))
-            if in_region(v, source):
-                break
-        for m in m_values:
-            image = mats[m].apply(v)
-            if not in_region(image, target):
-                violations.append((v, m, image))
-    return SpotcheckReport(
-        kind=kind, n=n, parameter=parameter, m_values=tuple(m_values),
-        samples=samples, seed=seed, violations=violations,
-    )
 
 
 CONCLUSION_FREE_DENSE = "free_dense_certified"

@@ -19,15 +19,14 @@ import time
 from fractions import Fraction
 
 from liegen.cli import main as cli_main
-from liegen.closure import classify, closed_form_bracket, iterated_bracket, subalgebra_closure
+from liegen.closure import classify, subalgebra_closure
 from liegen.exact import Matrix
 from liegen.generators import (
     FAMILY_CORNER,
     FAMILY_DOUBLE_CORNER,
-    G2_CARTAN,
     doubling_bvector,
-    g2_canonical,
     g2_pair,
+    lower_bidiagonal,
     prop2_criterion,
     shift_matrix,
     shift_pair,
@@ -35,25 +34,30 @@ from liegen.generators import (
 )
 from liegen.groups import (
     Word,
-    check_form,
     exp_corner,
     exp_lower,
-    exp_nilpotent,
     exp_upper,
     form_matrix,
     freeness_scan,
     one_parameter_power,
     thin_pair,
-    word_eval,
 )
-from liegen.pingpong import (
-    Region,
-    compute_r0,
-    compute_t0,
+from liegen.pingpong import compute_r0, compute_t0, r_inequalities, t_inequality
+
+from paper_oracles import (
+    G2_CARTAN,
+    X1,
+    X2,
+    apply,
+    check_form,
+    closed_form_bracket,
+    det,
+    exp_nilpotent,
+    g2_relation_failures,
     in_region,
+    iterated_bracket,
     pingpong_spotcheck,
-    r_inequalities,
-    t_inequality,
+    word_eval,
 )
 
 
@@ -158,25 +162,25 @@ def test_acceptance_05_pingpong_guarantees():
     # at t=3 > 1+sqrt(3) (as (3-1)^2 > 3) and m=1 the X2 vector
     # (-99, -99, 100) maps to (54, 201, 100), outside X1, so the stated
     # 1+sqrt(3) cannot serve as a ping-pong threshold on these regions.
-    rep = pingpong_spotcheck(3, "a", 5, samples=200, seed=0)
-    if not rep.clean:
-        failures.append(f"(n=3, t=5): {len(rep.violations)} violations")
+    bad = pingpong_spotcheck(3, "a", 5, samples=200, seed=0)
+    if bad:
+        failures.append(f"(n=3, t=5): {len(bad)} violations")
     try:
         pingpong_spotcheck(3, "a", 3, samples=200, seed=0)
         failures.append("(n=3, t=3) not refused")
     except ValueError:
         pass
     v = (-99, -99, 100)
-    image = exp_upper(3, 3).apply(v)
-    if not (in_region(v, Region("X2", 3)) and not in_region(image, Region("X1", 3))
+    image = apply(exp_upper(3, 3), v)
+    if not (in_region(v, X2) and not in_region(image, X1)
             and image == (54, 201, 100) and (3 - 1) ** 2 > 3):
         failures.append(f"(n=3, t=3) counterexample: {v} -> {image}")
-    rep = pingpong_spotcheck(2, "b", 3, samples=200, seed=0)
-    if not rep.clean:
-        failures.append(f"(n=2, s=3): {len(rep.violations)} violations")
-    rep = pingpong_spotcheck(4, "c", 2, b=(8, 12, 14), samples=200, seed=0)
-    if not rep.clean:
-        failures.append(f"(n=4, r=2): {len(rep.violations)} violations")
+    bad = pingpong_spotcheck(2, "b", 3, samples=200, seed=0)
+    if bad:
+        failures.append(f"(n=2, s=3): {len(bad)} violations")
+    bad = pingpong_spotcheck(4, "c", 2, b=(8, 12, 14), samples=200, seed=0)
+    if bad:
+        failures.append(f"(n=4, r=2): {len(bad)} violations")
     finish(5, failures)
 
 
@@ -223,8 +227,7 @@ def test_acceptance_07_exponential_exactness():
             if exp_nilpotent(y, t) != exp_corner(t, n):
                 failures.append(("corner", n, t))
             if b is not None:
-                z = Matrix.from_units(n, [(i + 1, i, b[i - 1]) for i in range(1, n)])
-                if exp_nilpotent(z, t) != exp_lower(t, b):
+                if exp_nilpotent(lower_bidiagonal(b), t) != exp_lower(t, b):
                     failures.append(("lower", n, t))
         # one-parameter laws and det = 1
         t1, t2 = rand_rational(rng), rand_rational(rng)
@@ -232,12 +235,12 @@ def test_acceptance_07_exponential_exactness():
             failures.append(("upper law", n))
         if exp_corner(t1, n) * exp_corner(t2, n) != exp_corner(t1 + t2, n):
             failures.append(("corner law", n))
-        if exp_upper(t1, n).det() != 1 or exp_corner(t1, n).det() != 1:
+        if det(exp_upper(t1, n)) != 1 or det(exp_corner(t1, n)) != 1:
             failures.append(("det", n))
         if b is not None:
             if exp_lower(t1, b) * exp_lower(t2, b) != exp_lower(t1 + t2, b):
                 failures.append(("lower law", n))
-            if exp_lower(t1, b).det() != 1:
+            if det(exp_lower(t1, b)) != 1:
                 failures.append(("lower det", n))
     # the two displayed 4x4 matrices, checked at three rational points
     for v in (Fraction(2, 3), Fraction(-5, 7), Fraction(9)):
@@ -264,7 +267,7 @@ def test_acceptance_08_form_preservation():
     failures = []
     for n in (4, 6):
         rng = random.Random(80 + n)
-        fm = form_matrix(n)
+        j = form_matrix(n)
         gen_a = one_parameter_power(lambda u, n=n: exp_upper(u, n), Fraction(7, 3))
         gen_b = one_parameter_power(lambda u, n=n: exp_corner(u, n), Fraction(-9, 4))
         for k in range(50):
@@ -275,7 +278,7 @@ def test_acceptance_08_form_preservation():
                 syls.append((sym, rng.choice([-2, -1, 1, 2])))
                 sym = "B" if sym == "A" else "A"
             g = word_eval(Word(tuple(syls)), gen_a, gen_b)
-            if not check_form(g, fm):
+            if not check_form(g, j):
                 failures.append((n, k, syls))
     finish(8, failures)
 
@@ -315,7 +318,7 @@ def test_acceptance_10_criteria_checks():
     res = prop2_criterion(G2_CARTAN, (-1, 1))
     if not (res.holds and res.values == (-5, 3)):
         failures.append(f"G2 criterion: {res}")
-    bad = g2_canonical().relation_failures()
+    bad = g2_relation_failures()
     if bad:
         failures.append(f"G2 canonical relations: {bad}")
     finish(10, failures)

@@ -2,8 +2,10 @@
 
 Random argv lists, written ``--opt=value`` so that empty and dash-led values
 reach the parser as values, each either return 0, 1 or 2 or raise argparse's
-``SystemExit(2)``; exit 3 (an internal error), any other exception and a
-traceback on standard error all fail.  hypothesis is an optional test
+``SystemExit(2)``; exit 3 (an internal error), any other exception, a
+traceback on standard error and a run past TIME_LIMIT_S seconds all fail.
+hypothesis's ``deadline`` only reports a slow run after it ends, so a
+``signal.alarm`` stops a run that hangs.  hypothesis is an optional test
 dependency: without it this module is skipped.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import signal
 
 import pytest
 
@@ -39,8 +42,9 @@ FLAGS = {
 VALUES = (
     "0", "1", "3", "-1", "17", "1/2", "-5/3", "1/1024", "1e3", "0.5",
     "", " ", "x", "1/0", "nan", "--", "doubling", "1,2", "3,-5,7", "1,,2",
-    "1,2,3,4,5,6",
+    "1,2,3,4,5,6", "1e400", "1e-400", "1,1e-400",
 )
+TIME_LIMIT_S = 30
 FAMILY_NAMES = sorted({*FAMILIES, *(f.alias for f in FAMILIES.values()), "nonsense", ""})
 
 
@@ -67,16 +71,32 @@ def argvs(draw) -> list[str]:
     return argv
 
 
+class TimeLimit(BaseException):
+    """Raised by SIGALRM; a BaseException, so ``main``'s exit-3 handler
+    does not catch it."""
+
+
+def _alarm(signum, frame):
+    raise TimeLimit
+
+
 @SETTINGS
 @hypothesis.given(argvs())
 def test_every_outcome_is_documented(argv):
     out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(TIME_LIMIT_S)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             assert exc.code == 2, argv
             return
+        except TimeLimit:
+            pytest.fail(f"over {TIME_LIMIT_S} s: {argv}")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 2:

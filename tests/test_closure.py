@@ -6,10 +6,7 @@ import pytest
 
 from liegen.closure import (
     ClosureResult,
-    c_shift,
     classify,
-    closed_form_bracket,
-    iterated_bracket,
     predicted_type,
     subalgebra_closure,
 )
@@ -20,12 +17,13 @@ from liegen.generators import (
     FAMILY_G2,
     FAMILY_LOWER,
     build_pair,
-    diagram_automorphism,
     doubling_bvector,
     g2_pair,
     lower_pair,
     shift_pair,
 )
+
+from paper_oracles import c_shift, closed_form_bracket, diagram_automorphism, iterated_bracket
 
 
 class TestCShift:

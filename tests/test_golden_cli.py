@@ -12,8 +12,10 @@ them), a lower ``scan``, three ``scan`` runs with identity hits, and corner
 and fine root brackets: corner ``bounds`` at n = 40 (the benchmark's
 largest) to width 2^-256 (the finest accepted), lower ``bounds`` at n = 12
 with a fractional b-vector to width 2^-160 (the benchmark's finest), and
-G2 ``certify`` to width 2^-100, and invocations with an empty flag value,
-which exit 2 with nothing on standard output.
+G2 ``certify`` to width 2^-100, invocations with an empty flag value,
+which exit 2 with nothing on standard output, and lower ``bounds`` and
+``certify`` whose exact bounds lie past the float range, where the
+``approx`` fields are null.
 ``rounds`` is the number of closure rounds: round k brackets each seed with
 each element that round k-1 added, and the final round, which adds nothing,
 is counted unless the span is gl(n); the switch to that right-normed
@@ -146,6 +148,12 @@ CASES_WITH_REPEATS = (
         ["certify", "--family=corner", "--n=4", "--t=8", "--s=3", "--width="],
         ["exp", "--kind=lower", "--n=4", "--r=1/2", "--b="],
         ["scan", "--n=3", "--t=5", "--r=3", "--b="],
+    ]
+    # exact bounds past the float range, whose "approx" fields are null
+    + [
+        ["bounds", "--family", "lower", "--n", "3", "--b", "1e-400,1"],
+        ["certify", "--family", "lower", "--n", "3", "--t", "5", "--r", "1e400",
+         "--b", "1,1e-400"],
     ]
 )
 CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())

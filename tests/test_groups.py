@@ -8,15 +8,22 @@ from liegen.exact import Matrix
 from liegen.generators import FAMILY_DOUBLE_CORNER, shift_matrix, shift_pair, lower_pair
 from liegen.groups import (
     Word,
-    check_form,
     exp_corner,
     exp_lower,
-    exp_nilpotent,
     exp_upper,
     form_matrix,
     freeness_scan,
     one_parameter_power,
     thin_pair,
+)
+
+from paper_oracles import (
+    check_form,
+    det,
+    diagram_automorphism,
+    exp_nilpotent,
+    form_conjugate,
+    power,
     word_eval,
 )
 
@@ -89,15 +96,15 @@ class TestExponentials:
         rng = random.Random(5)
         for _ in range(5):
             t = rand_rational(rng)
-            assert exp_upper(t, 4).det() == 1
-            assert exp_corner(t, 4).det() == 1
-            assert exp_lower(t, (8, 12, 14)).det() == 1
+            assert det(exp_upper(t, 4)) == 1
+            assert det(exp_corner(t, 4)) == 1
+            assert det(exp_lower(t, (8, 12, 14))) == 1
 
     def test_power_law(self):
         t = Fraction(7, 4)
         powered = one_parameter_power(lambda u: exp_upper(u, 3), t)
         for m in range(1, 6):
-            assert powered(m) == exp_upper(t, 3) ** m
+            assert powered(m) == power(exp_upper(t, 3), m)
             assert powered(-m) * powered(m) == Matrix.identity(3)
 
 
@@ -130,9 +137,9 @@ class TestWord:
         for m in (-3, -1, 0, 2, 4):
             scaled = exp_upper(Fraction(3, 2) * m, 3)
             if m >= 0:
-                assert g**m == scaled
+                assert power(g, m) == scaled
             else:  # g^{-m} exp((3/2) m x) = I: the scaled matrix inverts g^{-m}
-                assert g ** (-m) * scaled == Matrix.identity(3)
+                assert power(g, -m) * scaled == Matrix.identity(3)
 
 
 class TestFreenessScan:
@@ -286,33 +293,33 @@ class TestThinPair:
 
 class TestFormPreservation:
     def test_n2_symplectic(self):
-        fm = form_matrix(2)
-        assert fm.j in (Matrix([[0, -1], [1, 0]]), Matrix([[0, 1], [-1, 0]]))
-        assert check_form(exp_upper(Fraction(9, 2), 2), fm)
+        j = form_matrix(2)
+        assert j in (Matrix([[0, -1], [1, 0]]), Matrix([[0, 1], [-1, 0]]))
+        assert check_form(exp_upper(Fraction(9, 2), 2), j)
 
     def test_antisymmetry_parity(self):
         for n in range(2, 8):
-            j = form_matrix(n).j
+            j = form_matrix(n)
             assert j.transpose() == ((-1) ** (n + 1)) * j
             assert (j * j) in (Matrix.identity(n), -1 * Matrix.identity(n))
 
     def test_even_generators_preserve(self):
         rng = random.Random(17)
-        fm = form_matrix(4)
+        j = form_matrix(4)
         for _ in range(10):
             t = rand_rational(rng)
-            assert check_form(exp_upper(t, 4), fm)
-            assert check_form(exp_corner(t, 4), fm)
+            assert check_form(exp_upper(t, 4), j)
+            assert check_form(exp_corner(t, 4), j)
 
     def test_odd_double_corner_preserves(self):
-        fm = form_matrix(5)
+        j = form_matrix(5)
         y = shift_pair(5, FAMILY_DOUBLE_CORNER).second
-        assert check_form(exp_upper(Fraction(2, 3), 5), fm)
-        assert check_form(exp_nilpotent(y, Fraction(7, 5)), fm)
+        assert check_form(exp_upper(Fraction(2, 3), 5), j)
+        assert check_form(exp_nilpotent(y, Fraction(7, 5)), j)
 
     def test_random_words_preserve(self):
         rng = random.Random(23)
-        fm = form_matrix(4)
+        j = form_matrix(4)
         gen_a = one_parameter_power(lambda u: exp_upper(u, 4), Fraction(5, 3))
         gen_b = one_parameter_power(lambda u: exp_corner(u, 4), Fraction(-7, 2))
         for _ in range(10):
@@ -323,4 +330,10 @@ class TestFormPreservation:
                 syls.append((gen, rng.choice([-2, -1, 1, 2])))
                 gen = "B" if gen == "A" else "A"
             g = word_eval(Word(tuple(syls)), gen_a, gen_b)
-            assert check_form(g, fm)
+            assert check_form(g, j)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_form_realizes_the_diagram_automorphism(self, n):
+        j = form_matrix(n)
+        for u in (Matrix.unit(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1)):
+            assert diagram_automorphism(u) == form_conjugate(u, j), u
