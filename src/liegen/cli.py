@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .exact import DEFAULT_WIDTH, Matrix, Polynomial, RootBracket
-from .generators import FAMILIES, build_pair, doubling_bvector
+from .generators import FAMILIES, build_pair, bvector, doubling_bvector
 from .closure import classify, subalgebra_closure
 from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
 from .pingpong import (
@@ -110,10 +110,7 @@ def _parse_b(spec: Optional[str], n: int) -> tuple[Fraction, ...]:
     """The b-vector of ``--b``; absent or "doubling" means the doubling vector."""
     if spec is None or spec == "doubling":
         return doubling_bvector(n)
-    b = tuple(Fraction(x.strip()) for x in spec.split(","))
-    if len(b) != n - 1:
-        raise ValueError("b-vector length must be n - 1")
-    return b
+    return bvector([Fraction(x.strip()) for x in spec.split(",")], n)
 
 
 def _reject_unused(args: argparse.Namespace, used: Sequence[str], what: str) -> None:

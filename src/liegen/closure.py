@@ -122,5 +122,5 @@ def predicted_type(family: str, n: int) -> TypeLabel:
     """The type the family's pair generates (a lower pair: when b passes
     Proposition 2), as classify's lookup at the family's target dimension."""
     fam = lookup_family(family)
-    fam.check(n)
+    n = fam.check(n)
     return _type_of(n, fam.target_dim(n))

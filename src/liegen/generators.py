@@ -27,7 +27,7 @@ G2_LOWER_B = tuple(Fraction(x) for x in (1, -1, 2, 2, -1, 1))
 class Family:
     """Every per-family fact; FAMILIES holds one record per family.  The second
     generator is a shift pair's corner (``shift_units``) or lower bidiagonal,
-    with the caller's b-vector (``takes_b``) or ``fixed_b``."""
+    with ``fixed_b`` (whose length fixes n) or else the caller's b-vector."""
 
     name: str
     alias: str  # the CLI's --family value
@@ -35,20 +35,26 @@ class Family:
     second: Optional[str]  # "s" (bound s0 = 2), "r" (bound r0), None (no certified bound)
     target_dim: Callable[[int], int]  # dim of the simple algebra the pair generates
     shift_units: Optional[Callable[[int], list]] = None  # (i, j, c) units of y
-    takes_b: bool = False
     fixed_b: Optional[tuple[Fraction, ...]] = None
-    fixed_n: Optional[int] = None  # the one size of a family that has one
+
+    @property
+    def takes_b(self) -> bool:
+        """Whether the pair is built from the caller's b-vector."""
+        return self.shift_units is None and self.fixed_b is None
 
     def size(self, n: Optional[int]) -> Optional[int]:
         """n, which a family of one size lets the caller omit but not change."""
-        if self.fixed_n is not None and n not in (None, self.fixed_n):
-            raise ValueError(f"the {self.alias} family lives in dimension {self.fixed_n}")
-        return self.fixed_n or n
+        fixed = self.fixed_b and len(self.fixed_b) + 1
+        if fixed and n not in (None, fixed):
+            raise ValueError(f"the {self.alias} family lives in dimension {fixed}")
+        return fixed or n
 
-    def check(self, n: int) -> None:
-        """Reject a size the family's pair does not exist in."""
-        if self.size(n) < self.min_n:
+    def check(self, n: Optional[int]) -> int:
+        """The size of the family's pair at n; ValueError where it does not exist."""
+        n = self.size(n)
+        if n < self.min_n:
             raise ValueError(f"the {self.alias} pair requires n >= {self.min_n}")
+        return n
 
 
 FAMILIES = {f.name: f for f in (
@@ -58,8 +64,8 @@ FAMILIES = {f.name: f for f in (
     Family(FAMILY_DOUBLE_CORNER, "double_corner", 4, None,
            lambda n: n * n - 1 if n % 2 == 0 else 14 if n == 7 else n * (n - 1) // 2,
            shift_units=lambda n: [(n - 1, 1, 1), (n, 2, 1)]),
-    Family(FAMILY_LOWER, "lower", 3, "r", lambda n: n * n - 1, takes_b=True),
-    Family(FAMILY_G2, "g2", 7, "r", lambda n: 14, fixed_b=G2_LOWER_B, fixed_n=7),
+    Family(FAMILY_LOWER, "lower", 3, "r", lambda n: n * n - 1),
+    Family(FAMILY_G2, "g2", 7, "r", lambda n: 14, fixed_b=G2_LOWER_B),
 )}
 
 
@@ -88,6 +94,16 @@ class GeneratorPair:
                 raise ValueError("generator is not nilpotent")
 
 
+def bvector(b: Optional[Sequence[Scalar]], n: int) -> tuple[Fraction, ...]:
+    """b as exact values, when it is a b-vector of size n: n - 1 entries, all nonzero."""
+    if b is None or len(b) != n - 1:
+        raise ValueError("b-vector length must be n - 1")
+    bs = tuple(_rat(x) for x in b)
+    if not all(bs):
+        raise ValueError("all b_i must be nonzero")
+    return bs
+
+
 def shift_matrix(n: int) -> Matrix:
     """The upper shift x = e_{1,2} + e_{2,3} + ... + e_{n-1,n}."""
     return Matrix.from_units(n, [(i, i + 1, 1) for i in range(1, n)])
@@ -104,18 +120,15 @@ def shift_pair(n: int, family: str = FAMILY_CORNER) -> GeneratorPair:
     fam = lookup_family(family)
     if fam.shift_units is None:
         raise ValueError(f"unknown shift family {family!r}")
-    fam.check(n)
+    n = fam.check(n)
     y = Matrix.from_units(n, fam.shift_units(n))
     return GeneratorPair(n=n, first=shift_matrix(n), second=y, family=family)
 
 
 def lower_pair(b: Sequence[Scalar]) -> GeneratorPair:
     """Shift x with lower bidiagonal z = sum b_i e_{i+1,i}; all b_i nonzero."""
-    bs = tuple(_rat(x) for x in b)
-    if any(x == 0 for x in bs):
-        raise ValueError("all b_i must be nonzero")
-    n = len(bs) + 1
-    FAMILIES[FAMILY_LOWER].check(n)
+    bs = bvector(b, len(b) + 1)
+    n = FAMILIES[FAMILY_LOWER].check(len(b) + 1)
     return GeneratorPair(n=n, first=shift_matrix(n), second=lower_bidiagonal(bs),
                          family=FAMILY_LOWER, b=bs)
 
@@ -131,21 +144,19 @@ def doubling_bvector(n: int) -> tuple[Fraction, ...]:
 
 def g2_pair() -> GeneratorPair:
     """The G2 pair: the shift x and the lower bidiagonal z of G2_LOWER_B."""
-    return GeneratorPair(n=7, first=shift_matrix(7), second=lower_bidiagonal(G2_LOWER_B),
-                         family=FAMILY_G2)
+    z = lower_bidiagonal(G2_LOWER_B)
+    return GeneratorPair(n=z.n, first=shift_matrix(z.n), second=z, family=FAMILY_G2)
 
 
 def build_pair(family: str, n: int, b: Optional[Sequence[Scalar]] = None) -> GeneratorPair:
     """The n x n generator pair of a family; the lower family is built from b."""
     fam = lookup_family(family)
+    if b is not None and not fam.takes_b:
+        raise ValueError(f"the {fam.alias} family takes no b-vector")
     if fam.shift_units is not None:
         return shift_pair(n, family)
-    fam.check(n)
-    if fam.takes_b:
-        if b is None or len(b) != n - 1:
-            raise ValueError("the lower family needs a b-vector of length n - 1")
-        return lower_pair(b)
-    return g2_pair()
+    n = fam.check(n)
+    return lower_pair(bvector(b, n)) if fam.takes_b else g2_pair()
 
 
 @dataclass(frozen=True)
@@ -176,11 +187,7 @@ def prop2_criterion(
     ell = len(rows)
     if any(len(r) != ell for r in rows):
         raise ValueError("Cartan matrix must be square")
-    if len(b) != ell:
-        raise ValueError("b-vector length must match the Cartan rank")
-    bs = [_rat(x) for x in b]
-    if any(x == 0 for x in bs):
-        raise ValueError("all b_i must be nonzero")
+    bs = bvector(b, ell + 1)
     v = tuple(sum(_rat(c) * x for c, x in zip(row, bs)) for row in rows)
     return CriterionResult(holds=_plus_minus_distinct(v), values=v)
 

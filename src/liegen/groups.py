@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exact import Matrix, Scalar, _rat
+from .generators import bvector
 
 
 def exp_upper(t: Scalar, n: int) -> Matrix:
@@ -47,10 +48,8 @@ def lower_coefficient(b: Sequence[Fraction], j: int, d: int) -> Fraction:
 
 def exp_lower(r: Scalar, b: Sequence[Scalar]) -> Matrix:
     """c(r) = exp(r z) for z = sum b_i e_{i+1,i}; entries from the product rule."""
-    bs = [_rat(x) for x in b]
-    if any(x == 0 for x in bs):
-        raise ValueError("all b_i must be nonzero")
-    n = len(bs) + 1
+    n = len(b) + 1
+    bs = bvector(b, n)
     r = _rat(r)
     rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for j in range(2, n + 1):
@@ -161,11 +160,10 @@ def freeness_scan(
         gen_b = one_parameter_power(lambda u: exp_corner(u, n), s)
         params["s"] = _rat(s)
     else:
-        if b is None or len(b) != n - 1:
-            raise ValueError("a lower scan needs a b-vector of length n - 1")
-        gen_b = one_parameter_power(lambda u: exp_lower(u, b), r)
+        bs = bvector(b, n)
+        gen_b = one_parameter_power(lambda u: exp_lower(u, bs), r)
         params["r"] = _rat(r)
-        params["b"] = tuple(_rat(x) for x in b)
+        params["b"] = bs
 
     exponents = [e for e in range(-max_exponent, max_exponent + 1) if e != 0]
     syllable_mats = {

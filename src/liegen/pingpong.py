@@ -24,7 +24,7 @@ from .exact import (
     isolate_largest_positive_root,
 )
 from .closure import ClosureResult, TypeLabel, classify, predicted_type, subalgebra_closure
-from .generators import GeneratorPair, build_pair, lookup_family
+from .generators import GeneratorPair, build_pair, bvector, lookup_family
 from .groups import lower_coefficient
 
 
@@ -51,11 +51,7 @@ def r_inequalities(n: int, b: Sequence[Scalar]) -> list[Polynomial]:
     stored with denominators cleared (integer coefficients, matching the
     displayed paper forms: no further division by the content).
     """
-    bs = [_rat(x) for x in b]
-    if any(x == 0 for x in bs):
-        raise ValueError("all b_i must be nonzero")
-    if len(bs) != n - 1:
-        raise ValueError("b-vector length must be n - 1")
+    bs = bvector(b, n)
 
     lhs = [Fraction(0)] * n
     lhs[n - 1] = abs(lower_coefficient(bs, n, n - 1)) / math.factorial(n - 1)
@@ -130,10 +126,7 @@ def second_bound(
         raise ValueError(f"family {family!r} has no certified ping-pong bounds")
     if fam.second == "s":
         return None
-    b = fam.fixed_b or b
-    if b is None:
-        raise ValueError("the lower family needs the b-vector")
-    return compute_r0(n, b, width)
+    return compute_r0(fam.size(n), fam.fixed_b or b, width)
 
 
 CONCLUSION_FREE_DENSE = "free_dense_certified"
@@ -173,14 +166,15 @@ def certify_free_dense(
     ``insufficient`` is a valid outcome, never an error.
     """
     t = _rat(t)
-    bound = second_bound(family, n, b, width)
     second = lookup_family(family).second
     given = {k: v for k, v in (("s", s), ("r", r)) if v is not None}
-    if list(given) != [second]:
+    if second is not None and list(given) != [second]:
         raise ValueError(f"the {family} family takes the parameter {second} alone")
+    bound = second_bound(family, n, b, width)
     second_val = _rat(given[second])
     second_threshold = s0() if bound is None else bound.safe_value
     pair = build_pair(family, n, b)
+    n = pair.n
     params: dict = {"t": t, second: second_val}
     if pair.b is not None:
         params["b"] = pair.b

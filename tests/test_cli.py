@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from liegen import cli, groups
+from liegen import cli, groups, pingpong
 from liegen.cli import main, matrix_from_doc, matrix_to_doc
 from liegen.exact import Matrix
 from liegen.groups import exp_lower, exp_upper
@@ -102,6 +102,13 @@ class TestBounds:
         assert code == 0
         assert doc["s0"] == "2"
         assert 2 < Fraction(doc["t"]["safe_value"]) < Fraction(21, 10)
+
+    def test_lower_n2(self, capsys):
+        """The r-polynomial at n = 2 is bR - 2: |r b| > 2, the corner family's s0."""
+        code, doc = run(capsys, "bounds", "--family", "lower", "--n", "2", "--b", "5")
+        assert code == 0 and doc["b"] == ["5"]
+        assert doc["r"]["polynomials"][0]["integer_coefficients"] == [-2, 5]
+        assert 2 < 5 * Fraction(doc["r"]["safe_value"]) < Fraction(21, 10)
 
     def test_g2(self, capsys):
         code, doc = run(capsys, "bounds", "--family", "g2")
@@ -204,6 +211,14 @@ class TestBadInput:
     def test_b_vector_of_wrong_length_exits_2(self, capsys, command, b):
         code, err = run_bad(capsys, command, "--family", "lower", "--n", "4", "--b", b)
         assert code == 2 and "b-vector length must be n - 1" in err
+
+    def test_certify_checks_the_parameters_before_any_bound(self, capsys, monkeypatch):
+        def no_bound(*args, **kwargs):
+            raise AssertionError("r0 computed for an invocation that is refused")
+
+        monkeypatch.setattr(pingpong, "compute_r0", no_bound)
+        code, err = run_bad(capsys, "certify", "--family", "lower", "--n", "40", "--t", "1")
+        assert code == 2 and "parameter r alone" in err
 
     @pytest.mark.parametrize("argv", [
         ["exp", "--kind", "upper", "--n", "3", "--t", "1/0"],

@@ -44,6 +44,8 @@ VALUES = (
     "", " ", "x", "1/0", "nan", "--", "doubling", "1,2", "3,-5,7", "1,,2",
     "1,2,3,4,5,6", "1e400", "1e-400", "1,1e-400",
 )
+# Entries of the lower-family b-vectors below, two of them past the float range.
+B_ENTRIES = ("1", "-3", "1/2", "1e400", "1e-400")
 TIME_LIMIT_S = 30
 FAMILY_NAMES = sorted({*FAMILIES, *(f.alias for f in FAMILIES.values()), "nonsense", ""})
 
@@ -71,6 +73,20 @@ def argvs(draw) -> list[str]:
     return argv
 
 
+@st.composite
+def lower_argvs(draw) -> list[str]:
+    """``bounds`` or ``certify`` of the lower family with a b-vector of length
+    n - 1, which random argv lists seldom reach: an entry past the float range
+    puts a bound past it too, where the ``approx`` fields must be null."""
+    command = draw(st.sampled_from(["bounds", "certify"]))
+    n = draw(st.integers(2, 6))
+    b = draw(st.lists(st.sampled_from(B_ENTRIES), min_size=n - 1, max_size=n - 1))
+    argv = [command, "--family=lower", f"--n={n}", f"--b={','.join(b)}"]
+    if command == "certify":
+        argv += [f"--{flag}={draw(st.sampled_from(['3', '-5/3', '1e400']))}" for flag in "tr"]
+    return argv
+
+
 class TimeLimit(BaseException):
     """Raised by SIGALRM; a BaseException, so ``main``'s exit-3 handler
     does not catch it."""
@@ -81,7 +97,7 @@ def _alarm(signum, frame):
 
 
 @SETTINGS
-@hypothesis.given(argvs())
+@hypothesis.given(st.one_of(argvs(), lower_argvs()))
 def test_every_outcome_is_documented(argv):
     out, err = io.StringIO(), io.StringIO()
     previous = signal.signal(signal.SIGALRM, _alarm)

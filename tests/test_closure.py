@@ -176,6 +176,7 @@ class TestClassify:
         assert predicted_type(FAMILY_DOUBLE_CORNER, 7).name == "G2"
         assert predicted_type(FAMILY_DOUBLE_CORNER, 6).name == "A5"
         assert predicted_type(FAMILY_G2, 7).name == "G2"
+        assert predicted_type(FAMILY_G2, None).name == "G2"  # G2 fixes its own n
         assert predicted_type(FAMILY_LOWER, 5).name == "A4"
         with pytest.raises(ValueError):
             predicted_type(FAMILY_CORNER, 2)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from liegen.generators import (
     FAMILY_LOWER,
     G2_LOWER_B,
     build_pair,
+    bvector,
     doubling_bvector,
     g2_pair,
     lower_pair,
@@ -72,6 +74,23 @@ class TestLowerPair:
             lower_pair((1, 0, 1))
 
 
+class TestBVector:
+    def test_exact_values(self):
+        b = bvector([8, Fraction(-1, 2), 14], 4)
+        assert b == (8, Fraction(-1, 2), 14)
+        assert all(isinstance(x, Fraction) for x in b)
+
+    @pytest.mark.parametrize("b,message", [
+        (None, "length"),
+        ((1, 2), "length"),
+        ((1, 2, 3, 4), "length"),
+        ((1, 0, 3), "nonzero"),
+    ])
+    def test_rejects(self, b, message):
+        with pytest.raises(ValueError, match=message):
+            bvector(b, 4)
+
+
 class TestBuildPair:
     def test_each_family(self):
         assert build_pair(FAMILY_CORNER, 5) == shift_pair(5, FAMILY_CORNER)
@@ -84,6 +103,10 @@ class TestBuildPair:
         (FAMILY_LOWER, 4, None),
         (FAMILY_LOWER, 4, (1, 2)),
         ("unknown", 4, None),
+        # a b-vector that the family does not read
+        (FAMILY_CORNER, 4, (1, 2, 3)),
+        (FAMILY_DOUBLE_CORNER, 4, (1, 2, 3)),
+        (FAMILY_G2, 7, G2_LOWER_B),
     ])
     def test_rejects(self, family, n, b):
         with pytest.raises(ValueError):

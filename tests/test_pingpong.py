@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from liegen import pingpong
 from liegen.exact import DEFAULT_WIDTH, Polynomial
 from liegen.generators import (
     FAMILY_CORNER,
@@ -219,3 +220,23 @@ class TestCertify:
             certify_free_dense(6, FAMILY_G2, t=18, r=18)
         with pytest.raises(ValueError):
             certify_free_dense(4, "double_corner", t=8, s=3)
+        with pytest.raises(ValueError, match="takes no b-vector"):
+            certify_free_dense(4, FAMILY_CORNER, t=9, s=3, b=[1, 2, 3])
+
+    @pytest.mark.parametrize("call", [
+        lambda: certify_free_dense(8, FAMILY_G2, t=20, r=20),
+        lambda: second_bound(FAMILY_G2, 8),
+    ], ids=["certify_free_dense", "second_bound"])
+    def test_g2_at_another_size_names_the_size_rule(self, call):
+        """No b-vector was given, so the message is about n, not b."""
+        with pytest.raises(ValueError, match="the g2 family lives in dimension 7"):
+            call()
+
+    @pytest.mark.parametrize("params", [{}, {"s": 3}, {"s": 3, "r": 3}])
+    def test_parameter_names_are_checked_before_any_bound(self, monkeypatch, params):
+        def no_bound(*args, **kwargs):
+            raise AssertionError("r0 computed for a call that is refused")
+
+        monkeypatch.setattr(pingpong, "compute_r0", no_bound)
+        with pytest.raises(ValueError, match="parameter r alone"):
+            certify_free_dense(40, FAMILY_LOWER, t=1, b=doubling_bvector(40), **params)
