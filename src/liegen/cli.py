@@ -4,7 +4,9 @@ All numeric output is exact ("p/q" strings); decimal values appear only in
 auxiliary "approx" fields.  Exit codes: 0 success / certified / clean scan,
 1 unrecognized / insufficient / collision, 2 bad input, 3 internal error.
 ``main`` may be called repeatedly in one process; every call parses with
-the one parser that ``build_parser`` builds on first use.
+the one parser that ``build_parser`` builds on first use.  ``read_inputs``
+then reads and checks every flag and file, and the ``cmd_*`` functions only
+compute and emit, with Python's int/str digit limit lifted while they run.
 """
 
 from __future__ import annotations
@@ -106,36 +108,49 @@ def _emit(doc: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _parse_b(spec: Optional[str], n: int) -> tuple[Fraction, ...]:
-    """The b-vector of ``--b``; absent or "doubling" means the doubling vector."""
-    if spec is None or spec == "doubling":
-        return doubling_bvector(n)
-    return bvector([Fraction(x.strip()) for x in spec.split(",")], n)
-
-
-def _reject_unused(args: argparse.Namespace, used: Sequence[str], what: str) -> None:
-    """Refuse a parameter flag that the family or kind does not read."""
+def read_inputs(args: argparse.Namespace) -> None:
+    """Check every input in place, before any work: refuse a flag the invocation
+    does not read, require --n and the ``exp`` kind's parameter, and make --t,
+    --s, --r, --width exact, --b a b-vector (absent or "doubling": the doubling
+    vector), a family's --n its size and the ``closure`` files matrices."""
+    if args.command == "closure":
+        args.matrices = []
+        for path in args.files:
+            with open(path) as fh:
+                args.matrices.append(matrix_from_doc(json.load(fh)))
+        return
+    if args.command == "thin":
+        return
+    if args.command == "exp":
+        name = {"upper": "t", "corner": "s", "lower": "r"}[args.kind]
+        used, what = (name, "b" if args.kind == "lower" else ""), f"kind {args.kind}"
+    elif args.command == "scan":
+        lower = args.r is not None
+        if lower == (args.s is not None):
+            raise ValueError("scan needs exactly one of --s (corner) or --r (lower)")
+        used, what = ("t", "s", "r", "b" if lower else ""), "a scan without --r"
+    else:
+        fam = FAMILIES[args.family]
+        used, what = ("t", fam.second, "b" if fam.takes_b else ""), f"the {fam.alias} family"
     for flag in ("t", "s", "r", "b"):
         if flag not in used and getattr(args, flag, None) is not None:
             raise ValueError(f"--{flag} does not apply to {what}")
-
-
-def _family_size(args: argparse.Namespace) -> tuple[int, Optional[tuple[Fraction, ...]]]:
-    """The matrix size and the b-vector (lower family only) of a family invocation."""
-    fam = FAMILIES[args.family]
-    _reject_unused(args, ("t", fam.second, "b" if fam.takes_b else ""), f"the {fam.alias} family")
-    n = fam.size(args.n)
-    if n is None:
-        raise ValueError("--n is required for this family")
-    return n, _parse_b(args.b, n) if fam.takes_b else None
-
-
-def _width(args: argparse.Namespace) -> Fraction:
-    return DEFAULT_WIDTH if args.width is None else Fraction(args.width)
+    if args.command == "exp" and getattr(args, name) is None:
+        raise ValueError(f"--{name} is required for kind {args.kind}")
+    if "family" in args:
+        args.n = fam.size(args.n)
+        if args.n is None:
+            raise ValueError("--n is required for this family")
+    for flag in ("t", "s", "r", "width"):
+        if getattr(args, flag, None) is not None:
+            setattr(args, flag, Fraction(getattr(args, flag)))
+    if "b" in used:
+        args.b = (doubling_bvector(args.n) if args.b in (None, "doubling") else
+                  bvector([Fraction(x.strip()) for x in args.b.split(",")], args.n))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    pair = build_pair(args.family, *_family_size(args))
+    pair = build_pair(args.family, args.n, args.b)
     doc = {
         "family": pair.family,
         "n": pair.n,
@@ -160,50 +175,32 @@ def cmd_gen_or_closure_report(seed: Sequence[Matrix], n: int) -> tuple[dict, int
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
-    mats = []
-    for path in args.files:
-        with open(path) as fh:
-            mats.append(matrix_from_doc(json.load(fh)))
-    if not mats:
-        raise ValueError("at least one matrix file is required")
-    doc, code = cmd_gen_or_closure_report(mats, mats[0].n)
+    doc, code = cmd_gen_or_closure_report(args.matrices, args.matrices[0].n)
     _emit(doc)
     return code
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    pair = build_pair(args.family, *_family_size(args))
+    pair = build_pair(args.family, args.n, args.b)
     doc, code = cmd_gen_or_closure_report([pair.first, pair.second], pair.n)
-    doc["family"] = pair.family
-    doc["n"] = pair.n
+    doc.update(family=pair.family, n=pair.n)
     _emit(doc)
     return code
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    n, b = _family_size(args)
-    width = _width(args)
-    doc: dict = {"width": str(width), "family": args.family, "n": n}
-    if b is not None:
-        doc["b"] = [str(x) for x in b]
-    doc["t"] = _bound_doc(compute_t0(n, width))
-    _add_second_bound(doc, second_bound(args.family, n, b, width))
+    doc: dict = {"width": str(args.width), "family": args.family, "n": args.n}
+    if args.b is not None:
+        doc["b"] = [str(x) for x in args.b]
+    doc["t"] = _bound_doc(compute_t0(args.n, args.width))
+    _add_second_bound(doc, second_bound(args.family, args.n, args.b, args.width))
     _emit(doc)
     return 0
 
 
 def cmd_exp(args: argparse.Namespace) -> int:
-    name = {"upper": "t", "corner": "s", "lower": "r"}[args.kind]
-    _reject_unused(args, (name, "b" if args.kind == "lower" else ""), f"kind {args.kind}")
-    if getattr(args, name) is None:
-        raise ValueError(f"--{name} is required for kind {args.kind}")
-    value = Fraction(getattr(args, name))
-    if args.kind == "upper":
-        g = exp_upper(value, args.n)
-    elif args.kind == "corner":
-        g = exp_corner(value, args.n)
-    else:
-        g = exp_lower(value, _parse_b(args.b, args.n))
+    g = (exp_upper(args.t, args.n) if args.kind == "upper" else
+         exp_corner(args.s, args.n) if args.kind == "corner" else exp_lower(args.r, args.b))
     _emit({"kind": args.kind, "n": args.n, "matrix": matrix_to_doc(g)})
     return 0
 
@@ -236,28 +233,13 @@ def certificate_to_doc(cert: Certificate, width: Fraction) -> dict:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    n, b = _family_size(args)
-    width = _width(args)
-    s, r = (Fraction(v) if v is not None else None for v in (args.s, args.r))
-    cert = certify_free_dense(n, args.family, t=Fraction(args.t), s=s, r=r, b=b, width=width)
-    _emit(certificate_to_doc(cert, width))
+    cert = certify_free_dense(args.n, args.family, args.t, args.s, args.r, args.b, args.width)
+    _emit(certificate_to_doc(cert, args.width))
     return 0 if cert.conclusion == CONCLUSION_FREE_DENSE else 1
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    lower = args.r is not None
-    if lower == (args.s is not None):
-        raise ValueError("scan needs exactly one of --s (corner) or --r (lower)")
-    _reject_unused(args, ("t", "s", "r", "b" if lower else ""), "a scan without --r")
-    report = freeness_scan(
-        args.n,
-        t=Fraction(args.t),
-        s=Fraction(args.s) if args.s is not None else None,
-        r=Fraction(args.r) if lower else None,
-        b=_parse_b(args.b, args.n) if lower else None,
-        max_syllables=args.max_syll,
-        max_exponent=args.max_exp,
-    )
+    report = freeness_scan(args.n, args.t, args.s, args.r, args.b, args.max_syll, args.max_exp)
     doc = {
         "n": report.n,
         "parameters": _params_doc(report.parameters),
@@ -327,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     family_arg(p, choices=bounded)
     p.add_argument("--n", type=int)
     p.add_argument("--b")
-    p.add_argument("--width")
+    p.add_argument("--width", default=DEFAULT_WIDTH)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("exp", help="exact exponential of a generator")
@@ -346,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s")
     p.add_argument("--r")
     p.add_argument("--b")
-    p.add_argument("--width")
+    p.add_argument("--width", default=DEFAULT_WIDTH)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("scan", help="exhaustive word identity scan")
@@ -378,7 +360,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for dest, value in vars(args).items():
             if value == []:
                 parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
-        return args.func(args)
+        read_inputs(args)
+        if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
+            return args.func(args)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # inputs were read under it; exact output may pass it
+        try:
+            return args.func(args)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except (
         ValueError, ZeroDivisionError, OSError, json.JSONDecodeError, KeyError
     ) as exc:

@@ -56,6 +56,15 @@ class Family:
             raise ValueError(f"the {self.alias} pair requires n >= {self.min_n}")
         return n
 
+    def read_b(self, b: Optional[Sequence[Scalar]], n: int) -> Optional[tuple[Fraction, ...]]:
+        """The b-vector of the pair of size n: the caller's b, checked, G2's ``fixed_b``
+        or None; ValueError for a b-vector that the family does not read."""
+        if self.takes_b:
+            return bvector(b, n)
+        if b is not None:
+            raise ValueError(f"the {self.alias} family takes no b-vector")
+        return self.fixed_b
+
 
 FAMILIES = {f.name: f for f in (
     Family(FAMILY_CORNER, "corner", 3, "s",
@@ -151,12 +160,10 @@ def g2_pair() -> GeneratorPair:
 def build_pair(family: str, n: int, b: Optional[Sequence[Scalar]] = None) -> GeneratorPair:
     """The n x n generator pair of a family; the lower family is built from b."""
     fam = lookup_family(family)
-    if b is not None and not fam.takes_b:
-        raise ValueError(f"the {fam.alias} family takes no b-vector")
+    b = fam.read_b(b, fam.check(n))
     if fam.shift_units is not None:
         return shift_pair(n, family)
-    n = fam.check(n)
-    return lower_pair(bvector(b, n)) if fam.takes_b else g2_pair()
+    return lower_pair(b) if fam.takes_b else g2_pair()
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,8 @@ def freeness_scan(
         raise ValueError("max_syllables and max_exponent must be positive")
     if (s is None) == (r is None):
         raise ValueError("give exactly one of s (corner) or r (lower)")
+    if s is not None and b is not None:
+        raise ValueError("a scan with s takes no b-vector")
     half = (max_syllables + 1) // 2
     half_words = 0
     for k in range(1, half + 1):

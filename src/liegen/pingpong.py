@@ -124,9 +124,9 @@ def second_bound(
     fam = lookup_family(family)
     if fam.second is None:
         raise ValueError(f"family {family!r} has no certified ping-pong bounds")
-    if fam.second == "s":
-        return None
-    return compute_r0(fam.size(n), fam.fixed_b or b, width)
+    n = fam.size(n)
+    b = fam.read_b(b, n)
+    return None if fam.second == "s" else compute_r0(n, b, width)
 
 
 CONCLUSION_FREE_DENSE = "free_dense_certified"
@@ -170,11 +170,11 @@ def certify_free_dense(
     given = {k: v for k, v in (("s", s), ("r", r)) if v is not None}
     if second is not None and list(given) != [second]:
         raise ValueError(f"the {family} family takes the parameter {second} alone")
+    n = lookup_family(family).check(n)
     bound = second_bound(family, n, b, width)
     second_val = _rat(given[second])
     second_threshold = s0() if bound is None else bound.safe_value
     pair = build_pair(family, n, b)
-    n = pair.n
     params: dict = {"t": t, second: second_val}
     if pair.b is not None:
         params["b"] = pair.b

@@ -220,6 +220,15 @@ class TestBadInput:
         code, err = run_bad(capsys, "certify", "--family", "lower", "--n", "40", "--t", "1")
         assert code == 2 and "parameter r alone" in err
 
+    def test_certify_checks_the_size_before_any_bound(self, capsys, monkeypatch):
+        def no_bound(*args, **kwargs):
+            raise AssertionError("r0 computed for an invocation that is refused")
+
+        monkeypatch.setattr(pingpong, "compute_r0", no_bound)
+        code, err = run_bad(capsys, "certify", "--family", "lower", "--n", "2",
+                            "--t", "3", "--r", "1", "--b", "5")
+        assert code == 2 and "the lower pair requires n >= 3" in err
+
     @pytest.mark.parametrize("argv", [
         ["exp", "--kind", "upper", "--n", "3", "--t", "1/0"],
         ["classify", "--family", "lower", "--n", "3", "--b", "1/0,2"],
@@ -368,6 +377,37 @@ class TestBadInput:
             main(["scan", "--n", "2", "--t", "3", "--s", "3", "--seed", "1"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="Python before 3.10.7 has no int/str digit limit")
+
+
+class TestDigitLimit:
+    """Inputs are read under Python's int/str digit limit, and exact output
+    may run past it; ``main`` lifts the limit only while a command runs."""
+
+    def test_output_past_the_limit(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, doc = run(capsys, "exp", "--kind", "upper", "--n", "3", "--t", "1e2200")
+        assert code == 0
+        assert doc["matrix"]["entries"][0][2] == "5" + "0" * 4399
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @needs_digit_limit
+    def test_argv_number_past_the_limit_exits_2(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, err = run_bad(capsys, "exp", "--kind", "upper", "--n", "3", "--t", "1" * 5001)
+        assert code == 2 and "Exceeds the limit" in err
+        assert sys.get_int_max_str_digits() == limit
+
+    @needs_digit_limit
+    def test_matrix_file_integer_past_the_limit_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "f.json"
+        f.write_text('{"rows": 1, "cols": 1, "entries": [[' + "1" * 5001 + "]]}")
+        code, err = run_bad(capsys, "closure", str(f))
+        assert code == 2 and "Exceeds the limit" in err
 
 
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):

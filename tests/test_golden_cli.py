@@ -15,7 +15,8 @@ with a fractional b-vector to width 2^-160 (the benchmark's finest), and
 G2 ``certify`` to width 2^-100, invocations with an empty flag value,
 which exit 2 with nothing on standard output, and lower ``bounds`` and
 ``certify`` whose exact bounds lie past the float range, where the
-``approx`` fields are null.
+``approx`` fields are null, and an ``exp`` whose exact entry has more digits
+than Python's int/str conversion limit.
 ``rounds`` is the number of closure rounds: round k brackets each seed with
 each element that round k-1 added, and the final round, which adds nothing,
 is counted unless the span is gl(n); the switch to that right-normed
@@ -155,6 +156,8 @@ CASES_WITH_REPEATS = (
         ["certify", "--family", "lower", "--n", "3", "--t", "5", "--r", "1e400",
          "--b", "1,1e-400"],
     ]
+    # an exact entry of 4,400 digits, past Python's int/str digit limit
+    + [["exp", "--kind", "upper", "--n", "3", "--t", "1e2200"]]
 )
 CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())
 

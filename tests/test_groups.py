@@ -175,6 +175,11 @@ class TestFreenessScan:
         with pytest.raises(ValueError):
             freeness_scan(2, t=1, s=1, max_syllables=0, max_exponent=1)
 
+    @pytest.mark.parametrize("b", [[0], [1, 2]])
+    def test_corner_scan_refuses_a_b_vector(self, b):
+        with pytest.raises(ValueError, match="takes no b-vector"):
+            freeness_scan(3, 5, s=3, b=b)
+
     def test_work_cap_counts_the_half_words(self, monkeypatch):
         """L = 4 and L = 3 at E = 2 need 2 (4 + 16) = 40 half-words, L = 5 needs 168."""
         monkeypatch.setattr(groups, "MAX_HALF_WORDS", 40)

@@ -223,6 +223,11 @@ class TestCertify:
         with pytest.raises(ValueError, match="takes no b-vector"):
             certify_free_dense(4, FAMILY_CORNER, t=9, s=3, b=[1, 2, 3])
 
+    @pytest.mark.parametrize("family,n,b", [(FAMILY_G2, 7, [1, 2]), (FAMILY_CORNER, 4, [0])])
+    def test_second_bound_refuses_a_b_vector_the_family_does_not_read(self, family, n, b):
+        with pytest.raises(ValueError, match="takes no b-vector"):
+            second_bound(family, n, b)
+
     @pytest.mark.parametrize("call", [
         lambda: certify_free_dense(8, FAMILY_G2, t=20, r=20),
         lambda: second_bound(FAMILY_G2, 8),
