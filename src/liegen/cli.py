@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,7 +23,6 @@ from . import __version__
 from .exact import DEFAULT_WIDTH, Matrix, Polynomial, RootBracket
 from .generators import FAMILIES, build_pair, bvector, doubling_bvector
 from .closure import classify, subalgebra_closure
-from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
 from .pingpong import (
     CONCLUSION_FREE_DENSE,
     Certificate,
@@ -32,6 +32,23 @@ from .pingpong import (
     s0,
     second_bound,
 )
+from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
+
+def read_number(text: str) -> Fraction:
+    """text as an exact number; ValueError when its numerator or denominator
+    has more digits than Python's int/str limit (none before 3.10.7).  The
+    digits before a decimal exponent are read under that limit, so a nonzero
+    number whose exponent passes twice the limit is refused before it is built."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    if limit and exponent and abs(int(exponent[1])) > 2 * limit:
+        if Fraction(text[:exponent.start()] + "e0"):
+            raise ValueError(f"Exceeds the limit ({limit} digits) for a numerator or denominator")
+        return Fraction(0)
+    x = Fraction(text)
+    str(x)  # ValueError when the numerator or the denominator passes the limit
+    return x
+
 
 def matrix_to_doc(m: Matrix) -> dict:
     return {
@@ -44,17 +61,21 @@ def matrix_to_doc(m: Matrix) -> dict:
 def matrix_from_doc(doc: dict) -> Matrix:
     if not isinstance(doc, dict):
         raise ValueError("matrix document must be a JSON object")
-    rows, cols = doc["rows"], doc["cols"]
+    for key in ("rows", "cols", "entries"):
+        if key not in doc:
+            raise ValueError(f"matrix document has no {key!r}")
+    rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
+    if type(rows) is not int or type(cols) is not int:
+        raise ValueError("matrix rows and cols must be integers")
     if rows != cols:
         raise ValueError("matrix document must be square")
-    entries = doc["entries"]
     if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
         raise ValueError("matrix entries must be a list of lists")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError("matrix document dimensions inconsistent")
     if any(type(x) not in (int, str) for row in entries for x in row):
         raise ValueError("matrix entries must be integers or fraction strings")
-    return Matrix([[Fraction(x) for x in row] for row in entries])
+    return Matrix([[read_number(str(x)) for x in row] for row in entries])
 
 
 def _poly_doc(p: Polynomial) -> dict:
@@ -143,10 +164,10 @@ def read_inputs(args: argparse.Namespace) -> None:
             raise ValueError("--n is required for this family")
     for flag in ("t", "s", "r", "width"):
         if getattr(args, flag, None) is not None:
-            setattr(args, flag, Fraction(getattr(args, flag)))
+            setattr(args, flag, read_number(getattr(args, flag)))
     if "b" in used:
         args.b = (doubling_bvector(args.n) if args.b in (None, "doubling") else
-                  bvector([Fraction(x.strip()) for x in args.b.split(",")], args.n))
+                  bvector([read_number(x) for x in args.b.split(",")], args.n))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -309,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     family_arg(p, choices=bounded)
     p.add_argument("--n", type=int)
     p.add_argument("--b")
-    p.add_argument("--width", default=DEFAULT_WIDTH)
+    p.add_argument("--width", default=str(DEFAULT_WIDTH))
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("exp", help="exact exponential of a generator")
@@ -328,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s")
     p.add_argument("--r")
     p.add_argument("--b")
-    p.add_argument("--width", default=DEFAULT_WIDTH)
+    p.add_argument("--width", default=str(DEFAULT_WIDTH))
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("scan", help="exhaustive word identity scan")
@@ -369,9 +390,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return args.func(args)
         finally:
             sys.set_int_max_str_digits(limit)
-    except (
-        ValueError, ZeroDivisionError, OSError, json.JSONDecodeError, KeyError
-    ) as exc:
+    except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
         print(f"liegen: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -103,6 +103,8 @@ def classify(n: int, result: ClosureResult) -> TypeLabel:
 def _type_of(n: int, dim: int) -> TypeLabel:
     if dim == n * n:
         return TypeLabel(family="full_matrix_algebra", rank=None, dim=dim)
+    if dim == 0:  # the zero algebra, which is not simple, would read as A0
+        return TypeLabel(family="unrecognized", rank=None, dim=dim)
     if dim == n * n - 1:
         return TypeLabel(family="A", rank=n - 1, dim=dim)
     if n == 7 and dim == 14:

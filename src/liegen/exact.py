@@ -135,9 +135,6 @@ class Matrix:
                 return k
         return None
 
-    def is_nilpotent(self) -> bool:
-        return self.nilpotency_index() is not None
-
     def flatten(self) -> tuple[Fraction, ...]:
         """Row-major flattening to a vector of length n^2."""
         return tuple(x for row in self.rows for x in row)

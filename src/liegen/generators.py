@@ -99,7 +99,7 @@ class GeneratorPair:
         for m in (self.first, self.second):
             if m.n != self.n:
                 raise ValueError("generator dimension mismatch")
-            if not m.is_nilpotent():
+            if m.nilpotency_index() is None:
                 raise ValueError("generator is not nilpotent")
 
 
@@ -122,6 +122,15 @@ def lower_bidiagonal(b: Sequence[Fraction]) -> Matrix:
     """z = sum b_i e_{i+1,i}, of size len(b) + 1."""
     n = len(b) + 1
     return Matrix.from_units(n, [(i + 1, i, b[i - 1]) for i in range(1, n)])
+
+
+def lower_coefficient(b: Sequence[Fraction], j: int, d: int) -> Fraction:
+    """c_{d,j} = b_{j-1} b_{j-2} ... b_{j-d} (1 for d = 0), the (j, j - d) entry
+    of z^d for z = lower_bidiagonal(b)."""
+    out = Fraction(1)
+    for k in range(1, d + 1):
+        out *= b[j - k - 1]
+    return out
 
 
 def shift_pair(n: int, family: str = FAMILY_CORNER) -> GeneratorPair:

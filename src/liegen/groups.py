@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exact import Matrix, Scalar, _rat
-from .generators import bvector
+from .generators import bvector, lower_coefficient
+from .pingpong import compute_t0, s0
 
 
 def exp_upper(t: Scalar, n: int) -> Matrix:
@@ -36,14 +37,6 @@ def exp_corner(s: Scalar, n: int) -> Matrix:
     if n < 2:
         raise ValueError("n must be at least 2")
     return Matrix.identity(n) + Matrix.unit(n, n, 1, _rat(s))
-
-
-def lower_coefficient(b: Sequence[Fraction], j: int, d: int) -> Fraction:
-    """c_{d,j} = b_{j-1} b_{j-2} ... b_{j-d} (1 for d = 0)."""
-    out = Fraction(1)
-    for k in range(1, d + 1):
-        out *= b[j - k - 1]
-    return out
 
 
 def exp_lower(r: Scalar, b: Sequence[Scalar]) -> Matrix:
@@ -234,8 +227,6 @@ def thin_pair(n: int, q: int, s: int) -> ThinPair:
         raise ValueError("thin pairs require n > 2")
     if q == 0:
         raise ValueError("q must be nonzero")
-    from .pingpong import compute_t0, s0
-
     t = math.factorial(n - 1) * q
     a = exp_upper(t, n)
     bmat = exp_corner(s, n)

@@ -24,8 +24,7 @@ from .exact import (
     isolate_largest_positive_root,
 )
 from .closure import ClosureResult, TypeLabel, classify, predicted_type, subalgebra_closure
-from .generators import GeneratorPair, build_pair, bvector, lookup_family
-from .groups import lower_coefficient
+from .generators import GeneratorPair, build_pair, bvector, lookup_family, lower_coefficient
 
 
 def t_inequality(n: int) -> Polynomial:

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -244,6 +245,8 @@ class TestBadInput:
         {"rows": 2, "cols": 2, "entries": [[1, 0], 5]},
         {"rows": 1, "cols": 1, "entries": [[None]]},
         {"rows": 1, "cols": 1, "entries": [[[1]]]},
+        {"rows": True, "cols": True, "entries": [[1]]},
+        {"rows": 1.0, "cols": 1.0, "entries": [[1]]},
     ])
     def test_closure_document_of_wrong_shape_exits_2(self, capsys, tmp_path, doc):
         f = tmp_path / "f.json"
@@ -251,7 +254,15 @@ class TestBadInput:
         code, _ = run_bad(capsys, "closure", str(f))
         assert code == 2
 
-    @pytest.mark.parametrize("doc", [[1, 2], {"rows": 1, "cols": 1, "entries": [1]}])
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"rows": 1, "cols": 1, "entries": [1]},
+        {"rows": 2, "entries": [[1, 0], [0, 1]]},
+        {"cols": 1, "entries": [[1]]},
+        {"rows": 1, "cols": 1},
+        {"rows": True, "cols": True, "entries": [[1]]},
+        {"rows": 1.0, "cols": 1.0, "entries": [[1]]},
+    ])
     def test_matrix_from_doc_raises_value_error(self, doc):
         with pytest.raises(ValueError):
             matrix_from_doc(doc)
@@ -403,9 +414,41 @@ class TestDigitLimit:
         assert sys.get_int_max_str_digits() == limit
 
     @needs_digit_limit
+    @pytest.mark.parametrize("t", ["1e5000", "1e-5000"])
+    def test_argv_exponent_past_the_limit_exits_2(self, capsys, t):
+        code, err = run_bad(capsys, "exp", "--kind", "upper", "--n", "3", "--t", t)
+        assert code == 2 and "Exceeds the limit" in err
+
+    @needs_digit_limit
+    def test_a_large_exponent_is_refused_before_the_value_is_built(self, capsys):
+        class TooSlow(BaseException):
+            """Raised by SIGALRM; ``main`` does not catch it."""
+
+        def too_slow(signum, frame):
+            raise TooSlow
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(2)
+        try:
+            code, err = run_bad(capsys, "exp", "--kind", "upper", "--n", "3", "--t", "1e100000000")
+        except TooSlow:
+            pytest.fail("over 2 s")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2 and "Exceeds the limit" in err
+
+    @needs_digit_limit
     def test_matrix_file_integer_past_the_limit_exits_2(self, capsys, tmp_path):
         f = tmp_path / "f.json"
         f.write_text('{"rows": 1, "cols": 1, "entries": [[' + "1" * 5001 + "]]}")
+        code, err = run_bad(capsys, "closure", str(f))
+        assert code == 2 and "Exceeds the limit" in err
+
+    @needs_digit_limit
+    def test_matrix_file_exponent_past_the_limit_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "f.json"
+        f.write_text('{"rows": 1, "cols": 1, "entries": [["1e5000"]]}')
         code, err = run_bad(capsys, "closure", str(f))
         assert code == 2 and "Exceeds the limit" in err
 

@@ -168,6 +168,7 @@ class TestClassify:
         assert label(7, 21).name == "B3"
         assert label(3, 9).family == "full_matrix_algebra"
         assert label(5, 17).family == "unrecognized"
+        assert label(1, 0).family == "unrecognized"
 
     def test_predicted(self):
         assert predicted_type(FAMILY_CORNER, 8).name == "C4"

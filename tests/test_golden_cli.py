@@ -16,7 +16,8 @@ G2 ``certify`` to width 2^-100, invocations with an empty flag value,
 which exit 2 with nothing on standard output, and lower ``bounds`` and
 ``certify`` whose exact bounds lie past the float range, where the
 ``approx`` fields are null, and an ``exp`` whose exact entry has more digits
-than Python's int/str conversion limit.
+than Python's int/str conversion limit, and the ``closure`` of a 1x1 zero
+matrix, which is unrecognized.
 ``rounds`` is the number of closure rounds: round k brackets each seed with
 each element that round k-1 added, and the final round, which adds nothing,
 is counted unless the span is gl(n); the switch to that right-normed
@@ -44,7 +45,8 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 
 # Matrix documents for the ``closure`` cases, written to files at test time.
 # "corner3_*" is the corner pair in gl(3); "rat3_*" is a rational pair that
-# is not homogeneous under the principal grading.
+# is not homogeneous under the principal grading; "zero1" closes to the zero
+# algebra, which is not simple.
 FILES = {
     "corner3_x.json": {
         "rows": 3, "cols": 3,
@@ -62,6 +64,7 @@ FILES = {
         "rows": 3, "cols": 3,
         "entries": [["0", "0", "1"], ["1", "0", "0"], ["0", "-1/3", "0"]],
     },
+    "zero1.json": {"rows": 1, "cols": 1, "entries": [[0]]},
 }
 
 README = [
@@ -158,6 +161,8 @@ CASES_WITH_REPEATS = (
     ]
     # an exact entry of 4,400 digits, past Python's int/str digit limit
     + [["exp", "--kind", "upper", "--n", "3", "--t", "1e2200"]]
+    # the zero algebra is unrecognized (exit 1)
+    + [["closure", "zero1.json"]]
 )
 CASES = list({" ".join(a): a for a in CASES_WITH_REPEATS}.values())
 
