@@ -16,8 +16,8 @@ import functools
 import json
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import __version__
 from .exact import DEFAULT_WIDTH, Matrix, Polynomial, RootBracket
@@ -34,20 +34,26 @@ from .pingpong import (
 )
 from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
 
-def read_number(text: str) -> Fraction:
-    """text as an exact number; ValueError when its numerator or denominator
-    has more digits than Python's int/str limit (none before 3.10.7).  The
-    digits before a decimal exponent are read under that limit, so a nonzero
-    number whose exponent passes twice the limit is refused before it is built."""
+def read_number(text: str, source: str) -> Fraction:
+    """text, read from ``source`` (a flag or a file path), as an exact number;
+    ValueError naming the source when its numerator or denominator has more
+    digits than Python's int/str limit (none before 3.10.7).  The digits
+    before a decimal exponent are read under that limit, so a nonzero number
+    whose exponent passes twice the limit is refused before it is built."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
-    if limit and exponent and abs(int(exponent[1])) > 2 * limit:
-        if Fraction(text[:exponent.start()] + "e0"):
-            raise ValueError(f"Exceeds the limit ({limit} digits) for a numerator or denominator")
-        return Fraction(0)
-    x = Fraction(text)
-    str(x)  # ValueError when the numerator or the denominator passes the limit
-    return x
+    try:
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+        if limit and exponent and abs(int(exponent[1])) > 2 * limit:
+            if not Fraction(text[:exponent.start()] + "e0"):
+                return Fraction(0)
+        else:
+            x = Fraction(text)
+            str(x)  # ValueError when the numerator or the denominator passes the limit
+            return x
+    except ValueError as exc:  # Python's own message advises lifting the limit
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
+    raise ValueError(f"{source}: Exceeds the limit ({limit} digits) for a numerator or denominator")
 
 
 def matrix_to_doc(m: Matrix) -> dict:
@@ -58,7 +64,7 @@ def matrix_to_doc(m: Matrix) -> dict:
     }
 
 
-def matrix_from_doc(doc: dict) -> Matrix:
+def matrix_from_doc(doc: dict, source: str = "matrix document") -> Matrix:
     if not isinstance(doc, dict):
         raise ValueError("matrix document must be a JSON object")
     for key in ("rows", "cols", "entries"):
@@ -75,7 +81,7 @@ def matrix_from_doc(doc: dict) -> Matrix:
         raise ValueError("matrix document dimensions inconsistent")
     if any(type(x) not in (int, str) for row in entries for x in row):
         raise ValueError("matrix entries must be integers or fraction strings")
-    return Matrix([[read_number(str(x)) for x in row] for row in entries])
+    return Matrix([[read_number(str(x), source) for x in row] for row in entries])
 
 
 def _poly_doc(p: Polynomial) -> dict:
@@ -85,7 +91,7 @@ def _poly_doc(p: Polynomial) -> dict:
     }
 
 
-def _approx(x: Fraction) -> Optional[float]:
+def _approx(x: Fraction) -> float | None:
     """x as a float, or None (JSON null) when x lies past the float range."""
     try:
         return float(x)
@@ -93,7 +99,7 @@ def _approx(x: Fraction) -> Optional[float]:
         return None
 
 
-def _bracket_doc(br: Optional[RootBracket]) -> Optional[dict]:
+def _bracket_doc(br: RootBracket | None) -> dict | None:
     if br is None:
         return None
     return {
@@ -117,7 +123,7 @@ def _params_doc(params: dict) -> dict:
     return {k: [str(x) for x in v] if isinstance(v, tuple) else str(v) for k, v in params.items()}
 
 
-def _add_second_bound(doc: dict, bound: Optional[PingPongBound]) -> None:
+def _add_second_bound(doc: dict, bound: PingPongBound | None) -> None:
     if bound is None:
         doc["s0"] = str(s0())
     else:
@@ -137,8 +143,9 @@ def read_inputs(args: argparse.Namespace) -> None:
     if args.command == "closure":
         args.matrices = []
         for path in args.files:
-            with open(path) as fh:
-                args.matrices.append(matrix_from_doc(json.load(fh)))
+            with open(path) as fh:  # JSON integers are read under the digit limit too
+                doc = json.load(fh, parse_int=lambda text: int(read_number(text, path)))
+            args.matrices.append(matrix_from_doc(doc, path))
         return
     if args.command == "thin":
         return
@@ -164,10 +171,10 @@ def read_inputs(args: argparse.Namespace) -> None:
             raise ValueError("--n is required for this family")
     for flag in ("t", "s", "r", "width"):
         if getattr(args, flag, None) is not None:
-            setattr(args, flag, read_number(getattr(args, flag)))
+            setattr(args, flag, read_number(getattr(args, flag), f"--{flag}"))
     if "b" in used:
         args.b = (doubling_bvector(args.n) if args.b in (None, "doubling") else
-                  bvector([read_number(x) for x in args.b.split(",")], args.n))
+                  bvector([read_number(x, "--b") for x in args.b.split(",")], args.n))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -371,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run one invocation and return its exit code; argparse errors raise
     ``SystemExit(2)``."""
     parser = build_parser()

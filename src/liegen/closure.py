@@ -2,21 +2,17 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import defaultdict, namedtuple
+from collections.abc import Sequence
 
 from .exact import Matrix, SpanBasis, _int_flatten
 from .generators import lookup_family
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(namedtuple("ClosureResult", "basis dim rounds")):
     """Bracket-closed span basis with its dimension and sweep count."""
 
-    basis: SpanBasis
-    dim: int
-    rounds: int
+    __slots__ = ()
 
 
 def _by_row(v: dict[int, int], n: int) -> dict[int, list[tuple[int, int]]]:
@@ -76,13 +72,11 @@ def subalgebra_closure(seed: Sequence[Matrix]) -> ClosureResult:
     return ClosureResult(basis=basis, dim=basis.rank, rounds=rounds)
 
 
-@dataclass(frozen=True)
-class TypeLabel:
-    """Recognized simple type (or full matrix algebra / unrecognized)."""
+class TypeLabel(namedtuple("TypeLabel", "family rank dim")):
+    """Recognized simple type (or full matrix algebra / unrecognized): ``family``
+    is "A", "B", "C", "G2", "full_matrix_algebra" or "unrecognized"."""
 
-    family: str  # "A" | "B" | "C" | "G2" | "full_matrix_algebra" | "unrecognized"
-    rank: Optional[int]
-    dim: int
+    __slots__ = ()
 
     @property
     def name(self) -> str:

@@ -8,11 +8,11 @@ a certificate rather than an approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 #: Default width of certified root brackets.
 DEFAULT_WIDTH = Fraction(1, 2**40)
@@ -40,7 +40,7 @@ class Matrix:
             raise ValueError("matrix must be square and nonempty")
         self.n = n
         self.rows = rs
-        self._hash: Optional[int] = None
+        self._hash: int | None = None
 
     @classmethod
     def zero(cls, n: int) -> "Matrix":
@@ -88,7 +88,7 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix([[-a for a in row] for row in self.rows])
 
-    def __mul__(self, other: Union["Matrix", Scalar]) -> "Matrix":
+    def __mul__(self, other: Matrix | Scalar) -> "Matrix":
         if isinstance(other, Matrix):
             self._check_dim(other)
             cols = tuple(zip(*other.rows))
@@ -126,7 +126,7 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.rows)
 
-    def nilpotency_index(self) -> Optional[int]:
+    def nilpotency_index(self) -> int | None:
         """Smallest k with M^k = 0, or None if M^n != 0."""
         power = Matrix.identity(self.n)
         for k in range(1, self.n + 1):
@@ -212,7 +212,7 @@ class SpanBasis:
     def insert(self, m: Matrix) -> bool:
         return self.insert_flat(self._flatten(m))
 
-    def insert_flat(self, v: Union[Sequence[int], dict[int, int]]) -> bool:
+    def insert_flat(self, v: Sequence[int] | dict[int, int]) -> bool:
         """Insert an integer row vector, dense (length n^2) or sparse
         (``{row-major index: int}``); returns True iff the rank grew."""
         size = self.n * self.n
@@ -290,12 +290,10 @@ class Polynomial:
         return tuple(int(c) for c in self.cleared().coefficients)
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(namedtuple("RootBracket", "lo hi")):
     """Certified bracket [lo, hi] around a root: p(lo) <= 0 < p(hi)."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
     def contains(self, x: Scalar) -> bool:
         return self.lo <= x <= self.hi
@@ -318,16 +316,18 @@ def _scaled_value(ints: Sequence[int], num: int, den: int) -> int:
 
 def isolate_largest_positive_root(
     p: Polynomial, width: Fraction = DEFAULT_WIDTH
-) -> Optional[RootBracket]:
+) -> RootBracket | None:
     """Bracket the largest positive real root of p to the requested width.
 
     Requires a positive leading coefficient and at most one Descartes sign
     change, as every inequality polynomial here has.  One change means one
     positive root with p <= 0 below it and p > 0 above it, so bisection of
-    [0, Cauchy bound] returns a bracket with p(lo) <= 0 < p(hi).  Returns
-    None when there is no change, which certifies p > 0 on (0, oo).  Each
-    midpoint's sign is one integer sum over the cleared coefficients, a
-    positive multiple of p, so no ``Fraction`` arithmetic runs per step.
+    [0, Cauchy bound] returns a bracket with p(lo) <= 0 < p(hi); a level whose
+    first midpoint lies above a power of two that bounds every root needs no
+    evaluation.  Returns None when there is no change, which certifies p > 0
+    on (0, oo).  Each midpoint's sign is one integer sum over the cleared
+    coefficients, a positive multiple of p, so no ``Fraction`` arithmetic
+    runs per step.
     """
     if width <= 0:
         raise ValueError("root bracket width must be positive")
@@ -350,11 +350,17 @@ def isolate_largest_positive_root(
     if _scaled_value(ints, u, v) <= 0:  # cannot happen for a correct Cauchy bound
         raise AssertionError("Cauchy bound violated")
 
+    # 2^e bounds every root (Fujiwara), as |c_i / c_d| < 2^(bitlen c_i - bitlen c_d + 1)
+    d, top = len(ints) - 1, ints[-1].bit_length()
+    e = 1 + max(-((top - c.bit_length() - 1) // (d - i)) for i, c in enumerate(ints[:-1]) if c)
+
     # level k splits [0, upper] into brackets [u*j, u*(j+1)] / (v * 2^k);
-    # the midpoint of bracket j is u*(2j+1) / (v * 2^(k+1))
+    # the midpoint of bracket j is u*(2j+1) / (v * 2^(k+1)).  While j = 0 and
+    # that midpoint lies above 2^e, p > 0 there and nothing is evaluated.
     j = k = 0
     while u * width.denominator > width.numerator * (v << k):
         j, k = 2 * j, k + 1
-        if _scaled_value(ints, u * (j + 1), v << k) <= 0:
+        above = not j and u << max(0, -k - e) > v << max(0, k + e)
+        if not above and _scaled_value(ints, u * (j + 1), v << k) <= 0:
             j += 1
     return RootBracket(lo=Fraction(u * j, v << k), hi=Fraction(u * (j + 1), v << k))

@@ -8,9 +8,9 @@ distinctness criterion of Proposition 2 that certifies generation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
 
 from .exact import Matrix, Scalar, _rat
 
@@ -23,40 +23,41 @@ FAMILY_G2 = "g2_7x7"
 G2_LOWER_B = tuple(Fraction(x) for x in (1, -1, 2, 2, -1, 1))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "name alias min_n second target_dim shift_units fixed_b",
+                        defaults=(None, None))):
     """Every per-family fact; FAMILIES holds one record per family.  The second
     generator is a shift pair's corner (``shift_units``) or lower bidiagonal,
-    with ``fixed_b`` (whose length fixes n) or else the caller's b-vector."""
+    with ``fixed_b`` (whose length fixes n) or else the caller's b-vector.
 
-    name: str
-    alias: str  # the CLI's --family value
-    min_n: int  # the smallest n the pair exists for
-    second: Optional[str]  # "s" (bound s0 = 2), "r" (bound r0), None (no certified bound)
-    target_dim: Callable[[int], int]  # dim of the simple algebra the pair generates
-    shift_units: Optional[Callable[[int], list]] = None  # (i, j, c) units of y
-    fixed_b: Optional[tuple[Fraction, ...]] = None
+    - ``alias``: the CLI's --family value;
+    - ``min_n``: the smallest n the pair exists for;
+    - ``second``: "s" (bound s0 = 2), "r" (bound r0), None (no certified bound);
+    - ``target_dim(n)``: dim of the simple algebra the pair generates;
+    - ``shift_units(n)``: the (i, j, c) units of y, or None.
+    """
+
+    __slots__ = ()
 
     @property
     def takes_b(self) -> bool:
         """Whether the pair is built from the caller's b-vector."""
         return self.shift_units is None and self.fixed_b is None
 
-    def size(self, n: Optional[int]) -> Optional[int]:
+    def size(self, n: int | None) -> int | None:
         """n, which a family of one size lets the caller omit but not change."""
         fixed = self.fixed_b and len(self.fixed_b) + 1
         if fixed and n not in (None, fixed):
             raise ValueError(f"the {self.alias} family lives in dimension {fixed}")
         return fixed or n
 
-    def check(self, n: Optional[int]) -> int:
+    def check(self, n: int | None) -> int:
         """The size of the family's pair at n; ValueError where it does not exist."""
         n = self.size(n)
         if n < self.min_n:
             raise ValueError(f"the {self.alias} pair requires n >= {self.min_n}")
         return n
 
-    def read_b(self, b: Optional[Sequence[Scalar]], n: int) -> Optional[tuple[Fraction, ...]]:
+    def read_b(self, b: Sequence[Scalar] | None, n: int) -> tuple[Fraction, ...] | None:
         """The b-vector of the pair of size n: the caller's b, checked, G2's ``fixed_b``
         or None; ValueError for a b-vector that the family does not read."""
         if self.takes_b:
@@ -85,25 +86,22 @@ def lookup_family(name: str) -> Family:
     return FAMILIES[name]
 
 
-@dataclass(frozen=True)
-class GeneratorPair:
+class GeneratorPair(namedtuple("GeneratorPair", "n first second family b")):
     """A pair of nilpotent matrices generating a Lie algebra."""
 
-    n: int
-    first: Matrix
-    second: Matrix
-    family: str
-    b: Optional[tuple[Fraction, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for m in (self.first, self.second):
-            if m.n != self.n:
+    def __new__(cls, n: int, first: Matrix, second: Matrix, family: str,
+                b: tuple[Fraction, ...] | None = None) -> GeneratorPair:
+        for m in (first, second):
+            if m.n != n:
                 raise ValueError("generator dimension mismatch")
             if m.nilpotency_index() is None:
                 raise ValueError("generator is not nilpotent")
+        return super().__new__(cls, n, first, second, family, b)
 
 
-def bvector(b: Optional[Sequence[Scalar]], n: int) -> tuple[Fraction, ...]:
+def bvector(b: Sequence[Scalar] | None, n: int) -> tuple[Fraction, ...]:
     """b as exact values, when it is a b-vector of size n: n - 1 entries, all nonzero."""
     if b is None or len(b) != n - 1:
         raise ValueError("b-vector length must be n - 1")
@@ -166,7 +164,7 @@ def g2_pair() -> GeneratorPair:
     return GeneratorPair(n=z.n, first=shift_matrix(z.n), second=z, family=FAMILY_G2)
 
 
-def build_pair(family: str, n: int, b: Optional[Sequence[Scalar]] = None) -> GeneratorPair:
+def build_pair(family: str, n: int, b: Sequence[Scalar] | None = None) -> GeneratorPair:
     """The n x n generator pair of a family; the lower family is built from b."""
     fam = lookup_family(family)
     b = fam.read_b(b, fam.check(n))
@@ -175,12 +173,10 @@ def build_pair(family: str, n: int, b: Optional[Sequence[Scalar]] = None) -> Gen
     return lower_pair(b) if fam.takes_b else g2_pair()
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(namedtuple("CriterionResult", "holds values")):
     """Outcome of a distinctness criterion, with the values it inspected."""
 
-    holds: bool
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
 
 def _plus_minus_distinct(values: Sequence[Fraction]) -> bool:
@@ -192,7 +188,7 @@ def _plus_minus_distinct(values: Sequence[Fraction]) -> bool:
 
 
 def prop2_criterion(
-    cartan: Union[Matrix, Sequence[Sequence[Scalar]]], b: Sequence[Scalar]
+    cartan: Matrix | Sequence[Sequence[Scalar]], b: Sequence[Scalar]
 ) -> CriterionResult:
     """Generation criterion for x = sum x_i, y = sum b_i y_i.
 

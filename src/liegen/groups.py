@@ -8,9 +8,9 @@ exponentiation is a finite exact sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
 
 from .exact import Matrix, Scalar, _rat
 from .generators import bvector, lower_coefficient
@@ -54,15 +54,14 @@ def exp_lower(r: Scalar, b: Sequence[Scalar]) -> Matrix:
     return Matrix(rows)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "syllables")):
     """Reduced alternating word in two generator symbols "A" and "B"."""
 
-    syllables: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, syllables: tuple[tuple[str, int], ...]) -> Word:
         prev = None
-        for gen, exp in self.syllables:
+        for gen, exp in syllables:
             if gen not in ("A", "B"):
                 raise ValueError(f"unknown generator symbol {gen!r}")
             if exp == 0:
@@ -70,6 +69,7 @@ class Word:
             if gen == prev:
                 raise ValueError("word is not reduced: repeated generator")
             prev = gen
+        return super().__new__(cls, syllables)
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -86,16 +86,11 @@ def one_parameter_power(gen: Callable[[Scalar], Matrix], param: Scalar) -> Gener
     return lambda m: gen(m * _rat(param))
 
 
-@dataclass
-class ScanReport:
+class ScanReport(namedtuple("ScanReport", "n max_syllables max_exponent words_checked "
+                                          "collisions parameters")):
     """Result of an exhaustive identity scan over reduced words."""
 
-    n: int
-    max_syllables: int
-    max_exponent: int
-    words_checked: int
-    collisions: list[Word]
-    parameters: dict = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def clean(self) -> bool:
@@ -111,9 +106,9 @@ MAX_HALF_WORDS = 50_000
 def freeness_scan(
     n: int,
     t: Scalar,
-    s: Optional[Scalar] = None,
-    r: Optional[Scalar] = None,
-    b: Optional[Sequence[Scalar]] = None,
+    s: Scalar | None = None,
+    r: Scalar | None = None,
+    b: Sequence[Scalar] | None = None,
     max_syllables: int = 4,
     max_exponent: int = 2,
 ) -> ScanReport:
@@ -203,17 +198,10 @@ def freeness_scan(
     )
 
 
-@dataclass(frozen=True)
-class ThinPair:
+class ThinPair(namedtuple("ThinPair", "n t s first second certified warning")):
     """Integer generator pair a((n-1)! q), b(s), with a certification flag."""
 
-    n: int
-    t: int
-    s: int
-    first: Matrix
-    second: Matrix
-    certified: bool
-    warning: Optional[str]
+    __slots__ = ()
 
 
 def thin_pair(n: int, q: int, s: int) -> ThinPair:

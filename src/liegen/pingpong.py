@@ -10,9 +10,9 @@ clears the bound r0 from a family of n-1 polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .exact import (
     DEFAULT_WIDTH,
@@ -23,8 +23,8 @@ from .exact import (
     _rat,
     isolate_largest_positive_root,
 )
-from .closure import ClosureResult, TypeLabel, classify, predicted_type, subalgebra_closure
-from .generators import GeneratorPair, build_pair, bvector, lookup_family, lower_coefficient
+from .closure import classify, predicted_type, subalgebra_closure
+from .generators import build_pair, bvector, lookup_family, lower_coefficient
 
 
 def t_inequality(n: int) -> Polynomial:
@@ -68,23 +68,22 @@ def r_inequalities(n: int, b: Sequence[Scalar]) -> list[Polynomial]:
     return polys
 
 
-@dataclass(frozen=True)
-class PingPongBound:
-    """Certified bound: every polynomial is positive at safe_value and beyond."""
+class PingPongBound(namedtuple("PingPongBound", "kind polys bracket safe_value")):
+    """Certified bound of ``kind`` "t_bound" or "r_bound": every polynomial is
+    positive at safe_value and beyond."""
 
-    kind: str  # "t_bound" | "r_bound"
-    polys: tuple[Polynomial, ...]
-    bracket: Optional[RootBracket]
-    safe_value: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, kind: str, polys: tuple[Polynomial, ...], bracket: RootBracket | None,
+                safe_value: Fraction) -> PingPongBound:
         # witness of p > 0 on [safe_value, oo): lead > 0, <= 1 sign change, p(safe) > 0
-        for p in self.polys:
+        for p in polys:
             cs = p.coefficients
-            if p(self.safe_value) <= 0 or cs[-1] < 0 or _descartes_sign_changes(cs) > 1:
+            if p(safe_value) <= 0 or cs[-1] < 0 or _descartes_sign_changes(cs) > 1:
                 raise AssertionError("safe_value lacks a positivity witness")
-        if self.bracket is not None and self.bracket.hi > self.safe_value:
+        if bracket is not None and bracket.hi > safe_value:
             raise AssertionError("bracket exceeds safe_value")
+        return super().__new__(cls, kind, polys, bracket, safe_value)
 
 
 def _bound_from_polys(kind: str, polys: Sequence[Polynomial], width: Fraction) -> PingPongBound:
@@ -116,8 +115,8 @@ def s0() -> Fraction:
 
 
 def second_bound(
-    family: str, n: int, b: Optional[Sequence[Scalar]] = None, width: Fraction = DEFAULT_WIDTH
-) -> Optional[PingPongBound]:
+    family: str, n: int, b: Sequence[Scalar] | None = None, width: Fraction = DEFAULT_WIDTH
+) -> PingPongBound | None:
     """Bound on the second generator's parameter: r0 of the lower bidiagonal
     second generator (b fixed for G2), None where the threshold is s0 = 2."""
     fam = lookup_family(family)
@@ -133,29 +132,21 @@ CONCLUSION_DENSE_ONLY = "dense_only"
 CONCLUSION_INSUFFICIENT = "insufficient"
 
 
-@dataclass
-class Certificate:
-    """Joint density (Lie algebra closure) and freeness (ping-pong) certificate."""
+class Certificate(namedtuple("Certificate", "n family parameters pair closure type_label "
+                                            "target t_bound second_bound conclusion")):
+    """Joint density (Lie algebra closure) and freeness (ping-pong) certificate;
+    ``second_bound`` is None when the threshold is s0 = 2."""
 
-    n: int
-    family: str
-    parameters: dict
-    pair: GeneratorPair
-    closure: ClosureResult
-    type_label: TypeLabel
-    target: TypeLabel
-    t_bound: Optional[PingPongBound]
-    second_bound: Optional[PingPongBound]  # None when the threshold is s0 = 2
-    conclusion: str
+    __slots__ = ()
 
 
 def certify_free_dense(
     n: int,
     family: str,
     t: Scalar,
-    s: Optional[Scalar] = None,
-    r: Optional[Scalar] = None,
-    b: Optional[Sequence[Scalar]] = None,
+    s: Scalar | None = None,
+    r: Scalar | None = None,
+    b: Sequence[Scalar] | None = None,
     width: Fraction = DEFAULT_WIDTH,
 ) -> Certificate:
     """Certify that <exp(t x), exp(s y)> (or c(r)) is free and Zariski dense.

@@ -395,6 +395,12 @@ needs_digit_limit = pytest.mark.skipif(
     reason="Python before 3.10.7 has no int/str digit limit")
 
 
+def refused_past_the_limit(err, source):
+    """The refusal names the flag or file and gives no advice to lift the limit."""
+    return (f"liegen: error: {source}: Exceeds the limit" in err
+            and "set_int_max_str_digits" not in err)
+
+
 class TestDigitLimit:
     """Inputs are read under Python's int/str digit limit, and exact output
     may run past it; ``main`` lifts the limit only while a command runs."""
@@ -410,14 +416,23 @@ class TestDigitLimit:
     def test_argv_number_past_the_limit_exits_2(self, capsys):
         limit = sys.get_int_max_str_digits()
         code, err = run_bad(capsys, "exp", "--kind", "upper", "--n", "3", "--t", "1" * 5001)
-        assert code == 2 and "Exceeds the limit" in err
+        assert code == 2 and refused_past_the_limit(err, "--t")
         assert sys.get_int_max_str_digits() == limit
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("args, source", [
+        (("--kind", "upper", "--t", "1/" + "3" * 5001), "--t"),
+        (("--kind", "lower", "--r", "1", "--b", "2," + "1" * 5001), "--b"),
+    ], ids=["denominator", "b-vector"])
+    def test_denominator_or_b_entry_past_the_limit_exits_2(self, capsys, args, source):
+        code, err = run_bad(capsys, "exp", "--n", "3", *args)
+        assert code == 2 and refused_past_the_limit(err, source)
 
     @needs_digit_limit
     @pytest.mark.parametrize("t", ["1e5000", "1e-5000"])
     def test_argv_exponent_past_the_limit_exits_2(self, capsys, t):
         code, err = run_bad(capsys, "exp", "--kind", "upper", "--n", "3", "--t", t)
-        assert code == 2 and "Exceeds the limit" in err
+        assert code == 2 and refused_past_the_limit(err, "--t")
 
     @needs_digit_limit
     def test_a_large_exponent_is_refused_before_the_value_is_built(self, capsys):
@@ -436,21 +451,21 @@ class TestDigitLimit:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert code == 2 and "Exceeds the limit" in err
+        assert code == 2 and refused_past_the_limit(err, "--t")
 
     @needs_digit_limit
     def test_matrix_file_integer_past_the_limit_exits_2(self, capsys, tmp_path):
         f = tmp_path / "f.json"
         f.write_text('{"rows": 1, "cols": 1, "entries": [[' + "1" * 5001 + "]]}")
         code, err = run_bad(capsys, "closure", str(f))
-        assert code == 2 and "Exceeds the limit" in err
+        assert code == 2 and refused_past_the_limit(err, f)
 
     @needs_digit_limit
     def test_matrix_file_exponent_past_the_limit_exits_2(self, capsys, tmp_path):
         f = tmp_path / "f.json"
         f.write_text('{"rows": 1, "cols": 1, "entries": [["1e5000"]]}')
         code, err = run_bad(capsys, "closure", str(f))
-        assert code == 2 and "Exceeds the limit" in err
+        assert code == 2 and refused_past_the_limit(err, f)
 
 
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from liegen import exact
 from liegen.exact import (
     DEFAULT_WIDTH,
     MIN_WIDTH,
@@ -12,6 +13,7 @@ from liegen.exact import (
     bracket,
     isolate_largest_positive_root,
 )
+from liegen.generators import G2_LOWER_B, doubling_bvector
 from liegen.pingpong import r_inequalities, t_inequality
 
 from paper_oracles import det
@@ -285,3 +287,40 @@ class TestIntegerBisectionMatchesFractionBisection:
             low[0] = Fraction(-rng.randint(1, 50), rng.randint(1, 30))
             lead = Fraction(rng.randint(1, 50), rng.randint(1, 30))
             self.check(Polynomial(low + [lead]), log_width)
+
+
+def every_level_bisection(p, width):
+    """The integer bisection before the level skip, kept as a reference: one
+    midpoint evaluated at every level, the first levels above every root too."""
+    cs = p.coefficients
+    upper = Fraction(1) + max(abs(c / cs[-1]) for c in cs[:-1])
+    ints, u, v = p.integer_coefficients(), upper.numerator, upper.denominator
+    j = k = 0
+    while u * width.denominator > width.numerator * (v << k):
+        j, k = 2 * j, k + 1
+        if exact._scaled_value(ints, u * (j + 1), v << k) <= 0:
+            j += 1
+    return Fraction(u * j, v << k), Fraction(u * (j + 1), v << k)
+
+
+class TestLevelSkip:
+    """Levels whose first midpoint lies above the root bound 2^e are passed
+    without evaluation; the brackets stay those of the every-level loop."""
+
+    @pytest.mark.parametrize("log_width", [40, 256])
+    def test_brackets_match_the_every_level_loop(self, log_width):
+        width = Fraction(1, 2**log_width)
+        polys = [t_inequality(n) for n in range(2, 41)]
+        polys += [p for n in range(3, 21) for p in r_inequalities(n, doubling_bvector(n))]
+        polys += r_inequalities(7, G2_LOWER_B)
+        polys += [Polynomial([-1, 10**6]), Polynomial([-3, 0, 7 * 10**12])]  # e < 0
+        for p in polys:
+            br = isolate_largest_positive_root(p, width)
+            assert (br.lo, br.hi) == every_level_bisection(p, width)
+
+    def test_t_inequality_40_takes_50_sign_evaluations(self, monkeypatch):
+        calls = []
+        original = exact._scaled_value
+        monkeypatch.setattr(exact, "_scaled_value", lambda *a: calls.append(a) or original(*a))
+        isolate_largest_positive_root(t_inequality(40))
+        assert len(calls) == 50  # 196 when every level is evaluated

@@ -29,6 +29,20 @@ def test_imports_sit_at_module_level_and_point_up(name):
             assert LAYERS.index(target) < LAYERS.index(name), f"{name} imports {target}"
 
 
+@pytest.mark.parametrize("name", LAYERS)
+def test_no_module_imports_dataclasses_or_typing(name):
+    """The CLI starts without them; CI checks the loaded modules in a fresh
+    interpreter, which in-process tests cannot do."""
+    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        assert not {m.split(".")[0] for m in modules} & {"dataclasses", "typing"}, name
+
+
 def test_the_package_root_only_holds_its_version():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert ast.get_docstring(tree)

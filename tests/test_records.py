@@ -1,0 +1,48 @@
+"""The result records are immutable named tuples: they compare and hash by
+field, and the ones with rules refuse bad fields when they are built."""
+
+from fractions import Fraction
+
+import pytest
+
+from liegen.exact import Matrix, Polynomial, RootBracket
+from liegen.generators import GeneratorPair, shift_matrix, shift_pair
+from liegen.groups import Word
+from liegen.pingpong import PingPongBound, certify_free_dense, compute_t0
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: GeneratorPair(3, shift_matrix(3), Matrix.identity(3), "corner"),
+     ValueError, "generator is not nilpotent"),
+    (lambda: GeneratorPair(3, shift_matrix(3), shift_matrix(4), "corner"),
+     ValueError, "generator dimension mismatch"),
+    (lambda: PingPongBound("t_bound", (Polynomial([-2, 1]),),
+                           RootBracket(Fraction(2), Fraction(3)), Fraction(5, 2)),
+     AssertionError, "bracket exceeds safe_value"),
+], ids=["not-nilpotent", "two-sizes", "bracket-above-safe-value"])
+def test_bad_fields_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize("record", [
+    shift_pair(3),
+    compute_t0(3),
+    Word((("A", 1), ("B", -2))),
+    certify_free_dense(3, "corner", 100, s=3),
+], ids=["GeneratorPair", "PingPongBound", "Word", "Certificate"])
+def test_attributes_cannot_be_assigned(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note = "added"
+
+
+def test_records_compare_and_hash_by_field():
+    assert Word((("A", 1),)) == Word((("A", 1),))
+    assert hash(Word((("A", 1),))) == hash(Word((("A", 1),)))
+    assert shift_pair(4) == GeneratorPair(n=4, first=shift_matrix(4),
+                                          second=Matrix.unit(4, 4, 1), family="corner")
+    lo, hi = RootBracket(Fraction(1), Fraction(2))
+    assert (lo, hi) == RootBracket(lo=Fraction(1), hi=Fraction(2))
