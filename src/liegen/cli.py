@@ -36,10 +36,11 @@ from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
 
 def read_number(text: str, source: str) -> Fraction:
     """text, read from ``source`` (a flag or a file path), as an exact number;
-    ValueError naming the source when its numerator or denominator has more
-    digits than Python's int/str limit (none before 3.10.7).  The digits
-    before a decimal exponent are read under that limit, so a nonzero number
-    whose exponent passes twice the limit is refused before it is built."""
+    ValueError naming the source for a zero denominator, or when its numerator
+    or denominator has more digits than Python's int/str limit (none before
+    3.10.7).  The digits before a decimal exponent are read under that limit,
+    so a nonzero number whose exponent passes twice the limit is refused
+    before it is built."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     try:
         exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
@@ -50,6 +51,8 @@ def read_number(text: str, source: str) -> Fraction:
             x = Fraction(text)
             str(x)  # ValueError when the numerator or the denominator passes the limit
             return x
+    except ZeroDivisionError:  # Python's own message is "Fraction(1, 0)"
+        raise ValueError(f"{source}: division by zero") from None
     except ValueError as exc:  # Python's own message advises lifting the limit
         if not str(exc).startswith("Exceeds the limit"):
             raise

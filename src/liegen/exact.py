@@ -295,22 +295,22 @@ class RootBracket(namedtuple("RootBracket", "lo hi")):
 
     __slots__ = ()
 
-    def contains(self, x: Scalar) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def _descartes_sign_changes(coeffs: Sequence[Fraction]) -> int:
     signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _scaled_value(ints: Sequence[int], num: int, den: int) -> int:
-    """den^d * p(num/den) for p with integer coefficients ``ints`` (ascending,
-    degree d) and den > 0: one integer Horner sum with the sign of p(num/den)."""
-    acc, scale = ints[-1], 1
+def _scaled_value(ints: Sequence[int], num: int, shift: int) -> int:
+    """2^(shift*d) * p(num / 2^shift) for p with integer coefficients ``ints``
+    (ascending, degree d) and shift >= 0, or p(num * 2^-shift) for shift < 0:
+    one integer Horner sum with the sign of p at that point."""
+    if shift < 0:
+        num, shift = num << -shift, 0
+    acc, scale = ints[-1], 0
     for c in reversed(ints[:-1]):
-        scale *= den
-        acc = acc * num + c * scale
+        scale += shift
+        acc = acc * num + (c << scale)
     return acc
 
 
@@ -321,11 +321,12 @@ def isolate_largest_positive_root(
 
     Requires a positive leading coefficient and at most one Descartes sign
     change, as every inequality polynomial here has.  One change means one
-    positive root with p <= 0 below it and p > 0 above it, so bisection of
-    [0, Cauchy bound] returns a bracket with p(lo) <= 0 < p(hi); a level whose
-    first midpoint lies above a power of two that bounds every root needs no
-    evaluation.  Returns None when there is no change, which certifies p > 0
-    on (0, oo).  Each midpoint's sign is one integer sum over the cleared
+    positive root with p <= 0 below it and p > 0 above it.  Fujiwara's bound
+    (1916) gives a power of two 2^e above every root, so p(2^e) > 0, and
+    bisection of [0, 2^e] into dyadic brackets [j, j+1] * 2^(e-k) (the
+    interval scheme of Collins & Akritas, 1976) keeps p(lo) <= 0 < p(hi).
+    Returns None when there is no change, which certifies p > 0 on (0, oo).
+    Each midpoint's sign is one integer sum with shifts over the cleared
     coefficients, a positive multiple of p, so no ``Fraction`` arithmetic
     runs per step.
     """
@@ -344,23 +345,18 @@ def isolate_largest_positive_root(
     if changes > 1:
         raise ValueError(f"{changes} Descartes sign changes: the root is not isolated")
 
-    upper = Fraction(1) + max(abs(c / cs[-1]) for c in cs[:-1])
+    # 2^e bounds every root, as |c_i / c_d| < 2^(bitlen c_i - bitlen c_d + 1)
     ints = p.integer_coefficients()
-    u, v = upper.numerator, upper.denominator
-    if _scaled_value(ints, u, v) <= 0:  # cannot happen for a correct Cauchy bound
-        raise AssertionError("Cauchy bound violated")
-
-    # 2^e bounds every root (Fujiwara), as |c_i / c_d| < 2^(bitlen c_i - bitlen c_d + 1)
     d, top = len(ints) - 1, ints[-1].bit_length()
     e = 1 + max(-((top - c.bit_length() - 1) // (d - i)) for i, c in enumerate(ints[:-1]) if c)
 
-    # level k splits [0, upper] into brackets [u*j, u*(j+1)] / (v * 2^k);
-    # the midpoint of bracket j is u*(2j+1) / (v * 2^(k+1)).  While j = 0 and
-    # that midpoint lies above 2^e, p > 0 there and nothing is evaluated.
+    # level k splits [0, 2^e] into brackets [j, j+1] * 2^(e-k); the midpoint of
+    # bracket j is (2j+1) * 2^(e-k-1).  Stop once 2^(e-k) <= width = num/den.
+    num, den = width.numerator, width.denominator
     j = k = 0
-    while u * width.denominator > width.numerator * (v << k):
+    while den << max(0, e - k) > num << max(0, k - e):
         j, k = 2 * j, k + 1
-        above = not j and u << max(0, -k - e) > v << max(0, k + e)
-        if not above and _scaled_value(ints, u * (j + 1), v << k) <= 0:
+        if _scaled_value(ints, j + 1, k - e) <= 0:
             j += 1
-    return RootBracket(lo=Fraction(u * j, v << k), hi=Fraction(u * (j + 1), v << k))
+    step = Fraction(2) ** (e - k)
+    return RootBracket(lo=j * step, hi=(j + 1) * step)

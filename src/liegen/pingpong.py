@@ -93,10 +93,10 @@ def _bound_from_polys(kind: str, polys: Sequence[Polynomial], width: Fraction) -
         return PingPongBound(kind=kind, polys=tuple(polys), bracket=None,
                              safe_value=Fraction(0))
     # one sign change each puts every root below top.hi, so the least
-    # multiple of 1/1024 above top.hi is safe
+    # multiple of 1/1024 at or above top.hi is safe
     top = max(real, key=lambda br: br.hi)
     return PingPongBound(kind=kind, polys=tuple(polys), bracket=top,
-                         safe_value=Fraction(math.floor(top.hi * 1024) + 1, 1024))
+                         safe_value=Fraction(math.ceil(top.hi * 1024), 1024))
 
 
 def compute_t0(n: int, width: Fraction = DEFAULT_WIDTH) -> PingPongBound:

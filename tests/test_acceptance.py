@@ -111,7 +111,8 @@ def test_acceptance_02_closed_form_bracket_oracle():
 
 def test_acceptance_03_bounds_reproduced():
     failures = []
-    if not compute_t0(2).bracket.contains(2):
+    br = compute_t0(2).bracket
+    if not br.lo <= 2 <= br.hi:
         failures.append("t0(2) bracket misses 2")
     # n=3: the bracket must hold 2+2*sqrt(2), the positive root of
     # p_3(T) = T^2/2 - 2T - 2, checked exactly as lo >= 2 and

@@ -468,6 +468,24 @@ class TestDigitLimit:
         assert code == 2 and refused_past_the_limit(err, f)
 
 
+class TestDivisionByZero:
+    """A zero denominator is refused with the flag or file that holds it."""
+
+    @pytest.mark.parametrize("args, source", [
+        (("exp", "--kind", "upper", "--n", "3", "--t", "1/0"), "--t"),
+        (("bounds", "--family", "corner", "--n", "4", "--width", "1/0"), "--width"),
+        (("bounds", "--family", "lower", "--n", "3", "--b", "1/0,1"), "--b"),
+    ], ids=["t", "width", "b-entry"])
+    def test_flag_exits_2(self, capsys, args, source):
+        code, err = run_bad(capsys, *args)
+        assert code == 2 and f"liegen: error: {source}: division by zero" in err
+
+    def test_matrix_file_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "f.json"
+        f.write_text('{"rows": 1, "cols": 1, "entries": [["1/0"]]}')
+        code, err = run_bad(capsys, "closure", str(f))
+        assert code == 2 and f"liegen: error: {f}: division by zero" in err
+
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     """The parser keeps the ``cmd_*`` functions it was built with, so the
     fault goes into what ``cmd_gen`` calls."""

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -171,7 +172,7 @@ class TestPolynomial:
 class TestRootIsolation:
     def test_linear(self):
         br = isolate_largest_positive_root(Polynomial([-2, 1]))
-        assert br.contains(2)
+        assert br.lo <= 2 <= br.hi
         assert br.hi - br.lo <= DEFAULT_WIDTH
 
     def test_quadratic(self):
@@ -216,25 +217,35 @@ class TestRootIsolation:
 
     def test_width_below_minimum_rejected(self):
         p = Polynomial([-2, 1])
-        assert isolate_largest_positive_root(p, width=MIN_WIDTH).contains(2)
+        br = isolate_largest_positive_root(p, width=MIN_WIDTH)
+        assert br.lo <= 2 <= br.hi
         with pytest.raises(ValueError, match="at least 2\\^-256"):
             isolate_largest_positive_root(p, width=MIN_WIDTH / 2)
 
     def test_more_than_one_sign_change_rejected(self):
-        # (x-1)(x-100)(x-100001/1000): a coarse grid over [0, Cauchy
-        # bound] steps over the dip between the two largest roots
+        # (x-1)(x-100)(x-100001/1000): a coarse dyadic grid over [0, 2^e]
+        # steps over the dip between the two largest roots
         p = Polynomial([-10000100, 10200101, -201001, 1000])
         assert p(Fraction(1000005, 10000)) < 0
         with pytest.raises(ValueError, match="sign changes"):
             isolate_largest_positive_root(p)
 
 
+def fujiwara_exponent(p):
+    """The least e with 2^(e-1) > |c_i / c_d|^(1/(d-i)) read off bit lengths,
+    for every nonzero c_i of the cleared p: Fujiwara's 2^e above every root."""
+    ints = p.integer_coefficients()
+    d, top = len(ints) - 1, ints[-1].bit_length()
+    return 1 + max(
+        math.ceil(Fraction(c.bit_length() - top + 1, d - i))
+        for i, c in enumerate(ints[:-1]) if c
+    )
+
+
 def fraction_bisection(p, width):
-    """The ``Fraction`` bisection that the integer kernel replaced, kept as a
-    reference: every midpoint evaluated by ``Polynomial.__call__``."""
-    cs = p.coefficients
-    upper = Fraction(1) + max(abs(c / cs[-1]) for c in cs[:-1])
-    lo, hi = Fraction(0), upper
+    """A ``Fraction`` reference for the integer kernel: bisection of
+    [0, 2^e], every midpoint evaluated by ``Polynomial.__call__``."""
+    lo, hi = Fraction(0), Fraction(2) ** fujiwara_exponent(p)
     while hi - lo > width:
         mid = (lo + hi) / 2
         if p(mid) <= 0:
@@ -255,7 +266,8 @@ def random_b_vectors(rng, n, count):
 
 class TestIntegerBisectionMatchesFractionBisection:
     """The integer kernel takes the same decision at every midpoint as the
-    ``Fraction`` loop, so the brackets are equal, not merely both valid.
+    ``Fraction`` loop over [0, 2^e], so the brackets are equal, not merely
+    both valid.
     Every polynomial here has exactly one Descartes sign change; widths are
     2^-log_width."""
 
@@ -289,26 +301,12 @@ class TestIntegerBisectionMatchesFractionBisection:
             self.check(Polynomial(low + [lead]), log_width)
 
 
-def every_level_bisection(p, width):
-    """The integer bisection before the level skip, kept as a reference: one
-    midpoint evaluated at every level, the first levels above every root too."""
-    cs = p.coefficients
-    upper = Fraction(1) + max(abs(c / cs[-1]) for c in cs[:-1])
-    ints, u, v = p.integer_coefficients(), upper.numerator, upper.denominator
-    j = k = 0
-    while u * width.denominator > width.numerator * (v << k):
-        j, k = 2 * j, k + 1
-        if exact._scaled_value(ints, u * (j + 1), v << k) <= 0:
-            j += 1
-    return Fraction(u * j, v << k), Fraction(u * (j + 1), v << k)
-
-
-class TestLevelSkip:
-    """Levels whose first midpoint lies above the root bound 2^e are passed
-    without evaluation; the brackets stay those of the every-level loop."""
+class TestDyadicBrackets:
+    """Bisection of [0, 2^e] keeps both endpoints on a dyadic grid and below
+    Fujiwara's bound, where p is already positive."""
 
     @pytest.mark.parametrize("log_width", [40, 256])
-    def test_brackets_match_the_every_level_loop(self, log_width):
+    def test_dyadic_endpoints_below_the_root_bound(self, log_width):
         width = Fraction(1, 2**log_width)
         polys = [t_inequality(n) for n in range(2, 41)]
         polys += [p for n in range(3, 21) for p in r_inequalities(n, doubling_bvector(n))]
@@ -316,11 +314,17 @@ class TestLevelSkip:
         polys += [Polynomial([-1, 10**6]), Polynomial([-3, 0, 7 * 10**12])]  # e < 0
         for p in polys:
             br = isolate_largest_positive_root(p, width)
-            assert (br.lo, br.hi) == every_level_bisection(p, width)
+            top = Fraction(2) ** fujiwara_exponent(p)
+            for x in br:
+                assert x.denominator & (x.denominator - 1) == 0, (p, x)
+            assert br.hi - br.lo <= width
+            assert br.hi <= top
+            assert p(top) > 0
+            assert p(br.lo) <= 0 < p(br.hi)
 
-    def test_t_inequality_40_takes_50_sign_evaluations(self, monkeypatch):
+    def test_t_inequality_40_takes_48_sign_evaluations(self, monkeypatch):
         calls = []
         original = exact._scaled_value
         monkeypatch.setattr(exact, "_scaled_value", lambda *a: calls.append(a) or original(*a))
         isolate_largest_positive_root(t_inequality(40))
-        assert len(calls) == 50  # 196 when every level is evaluated
+        assert len(calls) == 48

@@ -21,9 +21,11 @@ matrix, which is unrecognized.
 ``rounds`` is the number of closure rounds: round k brackets each seed with
 each element that round k-1 added, and the final round, which adds nothing,
 is counted unless the span is gl(n); the switch to that right-normed
-closure changed ``rounds``, and only ``rounds``, on purpose.  A change that
-means to keep the output (a refactor or a speed-up) must leave every entry
-as it is, ``rounds`` included.
+closure changed ``rounds``, and only ``rounds``, on purpose.  The switch to
+dyadic root brackets, which bisect [0, 2^e], changed the brackets' ``lo``,
+``hi`` and ``approx`` and, where hi lies on the 1/1024 grid, ``safe_value``,
+on purpose.  A change that means to keep the output (a refactor or a
+speed-up) must leave every entry as it is, ``rounds`` included.
 
 Regenerate the file only when a change of output is intended:
 
@@ -124,8 +126,8 @@ CASES_WITH_REPEATS = (
         ["scan", "--n", "2", "--t", "2", "--s", "1", "--max-syll", "7", "--max-exp", "2"],
         ["scan", "--n", "2", "--t", "1", "--s", "-1", "--max-syll", "9", "--max-exp", "1"],
     ]
-    # t0 past degree 8, where the root bracket's bisection starts from the
-    # whole Cauchy interval
+    # t0 past degree 8, whose bisection starts from the Fujiwara bound 2^e
+    # (64, 64 and 128, against roots near 22.6, 31.6 and 46.6)
     + [["bounds", "--family", "corner", "--n", str(n)] for n in (9, 12, 17)]
     # the type table past n = 10
     + [

@@ -67,7 +67,7 @@ class TestInequalityPolynomials:
 class TestBounds:
     def test_t0_n2(self):
         bound = compute_t0(2)
-        assert bound.bracket.contains(2)
+        assert bound.bracket.lo <= 2 <= bound.bracket.hi
         assert 2 < bound.safe_value < Fraction(21, 10)
 
     def test_t0_n4(self):
