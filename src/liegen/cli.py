@@ -2,7 +2,7 @@
 
 All numeric output is exact ("p/q" strings); decimal values appear only in
 auxiliary "approx" fields.  Exit codes: 0 success / certified / clean scan,
-1 unrecognized / insufficient / collision, 2 bad input, 3 internal error.
+1 unrecognized / insufficient / collision, 2 bad input, 3 internal error, 141 closed stdout.
 ``main`` may be called repeatedly in one process; every call parses with
 the one parser that ``build_parser`` builds on first use.  ``read_inputs``
 then reads and checks every flag and file, and the ``cmd_*`` functions only
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -400,6 +401,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return args.func(args)
         finally:
             sys.set_int_max_str_digits(limit)
+    except BrokenPipeError:  # the reader of stdout left: not bad input
+        raise
     except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
         print(f"liegen: error: {exc}", file=sys.stderr)
         return 2
@@ -409,7 +412,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Exit with ``main``'s code, or with 141 (128 + SIGPIPE) once stdout is closed."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # Python docs, "Note on SIGPIPE": stdout to devnull so that the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ Scalar = int | Fraction
 
 #: Default width of certified root brackets.
 DEFAULT_WIDTH = Fraction(1, 2**40)
-#: Finest width accepted: each halving costs one more evaluation per polynomial.
+#: Finest width accepted: each halving costs one more sign test of each live polynomial.
 MIN_WIDTH = Fraction(1, 2**256)
 
 
@@ -246,13 +246,15 @@ class SpanBasis:
 class Polynomial:
     """Univariate polynomial with exact rational coefficients, ascending degree."""
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "_den", "_ints")  # _den * p has integer coefficients _ints
 
     def __init__(self, coefficients: Iterable[Scalar]):
         cs = [_rat(c) for c in coefficients]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coefficients = tuple(cs)
+        self._den = den = math.lcm(*(c.denominator for c in cs))
+        self._ints = tuple(c.numerator * (den // c.denominator) for c in cs)
 
     @property
     def degree(self) -> int:
@@ -263,10 +265,12 @@ class Polynomial:
         return not self.coefficients
 
     def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        # p(a/b) = sum_i _ints[i] a^i b^(d-i) / (_den b^d): one Fraction at the end
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self._ints):
+            acc, scale = acc * a + c * scale, scale * b
+        return Fraction(acc * b, self._den * scale)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -281,13 +285,10 @@ class Polynomial:
 
     def cleared(self) -> "Polynomial":
         """Scaled by the lcm of coefficient denominators: integer coefficients."""
-        if self.is_zero():
-            return self
-        den = math.lcm(*(c.denominator for c in self.coefficients))
-        return Polynomial([c * den for c in self.coefficients])
+        return Polynomial(self._ints)
 
     def integer_coefficients(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.cleared().coefficients)
+        return self._ints
 
 
 class RootBracket(namedtuple("RootBracket", "lo hi")):
@@ -296,7 +297,7 @@ class RootBracket(namedtuple("RootBracket", "lo hi")):
     __slots__ = ()
 
 
-def _descartes_sign_changes(coeffs: Sequence[Fraction]) -> int:
+def _descartes_sign_changes(coeffs: Sequence[int]) -> int:
     signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -315,40 +316,42 @@ def _scaled_value(ints: Sequence[int], num: int, shift: int) -> int:
 
 
 def isolate_largest_positive_root(
-    p: Polynomial, width: Fraction = DEFAULT_WIDTH
+    polys: Iterable[Polynomial], width: Fraction = DEFAULT_WIDTH
 ) -> RootBracket | None:
-    """Bracket the largest positive real root of p to the requested width.
+    """Bracket the largest positive real root of the polynomials to the requested width.
 
-    Requires a positive leading coefficient and at most one Descartes sign
-    change, as every inequality polynomial here has.  One change means one
-    positive root with p <= 0 below it and p > 0 above it.  Fujiwara's bound
-    (1916) gives a power of two 2^e above every root, so p(2^e) > 0, and
-    bisection of [0, 2^e] into dyadic brackets [j, j+1] * 2^(e-k) (the
-    interval scheme of Collins & Akritas, 1976) keeps p(lo) <= 0 < p(hi).
-    Returns None when there is no change, which certifies p > 0 on (0, oo).
-    Each midpoint's sign is one integer sum with shifts over the cleared
-    coefficients, a positive multiple of p, so no ``Fraction`` arithmetic
-    runs per step.
+    Each needs a positive leading coefficient and at most one Descartes sign
+    change, as every inequality polynomial here has: one change means one
+    positive root with p <= 0 below it and p > 0 above it, and none certifies
+    p > 0 on (0, oo), so that p drops out (None when all do).  Fujiwara's bound
+    (1916) gives a power of two 2^e above every root, and one bisection of
+    [0, 2^e] into dyadic brackets [j, j+1] * 2^(e-k) (Collins & Akritas, 1976)
+    serves them all: a midpoint lies below the largest root when some live p is
+    <= 0 there, and then each live p > 0 there drops out.  So p(lo) <= 0 < p(hi)
+    for the p of the largest root, in the bracket that p alone would give.  Each
+    sign is one integer sum with shifts over the cleared coefficients.
     """
     if width <= 0:
         raise ValueError("root bracket width must be positive")
     if width < MIN_WIDTH:
         raise ValueError("root bracket width must be at least 2^-256")
-    if p.is_zero():
-        raise ValueError("zero polynomial has no root bracket")
-    cs = p.coefficients
-    if cs[-1] < 0:
-        raise ValueError("leading coefficient must be positive")
-    changes = _descartes_sign_changes(cs)
-    if changes == 0:
-        return None  # all nonzero coefficients positive: p > 0 on (0, oo)
-    if changes > 1:
-        raise ValueError(f"{changes} Descartes sign changes: the root is not isolated")
-
+    live = []
+    for p in polys:
+        if p.is_zero():
+            raise ValueError("zero polynomial has no root bracket")
+        ints = p.integer_coefficients()
+        if ints[-1] < 0:
+            raise ValueError("leading coefficient must be positive")
+        changes = _descartes_sign_changes(ints)
+        if changes > 1:
+            raise ValueError(f"{changes} Descartes sign changes: the root is not isolated")
+        if changes:
+            live.append(ints)
+    if not live:
+        return None
     # 2^e bounds every root, as |c_i / c_d| < 2^(bitlen c_i - bitlen c_d + 1)
-    ints = p.integer_coefficients()
-    d, top = len(ints) - 1, ints[-1].bit_length()
-    e = 1 + max(-((top - c.bit_length() - 1) // (d - i)) for i, c in enumerate(ints[:-1]) if c)
+    e = 1 + max(-((ints[-1].bit_length() - c.bit_length() - 1) // (len(ints) - 1 - i))
+                for ints in live for i, c in enumerate(ints[:-1]) if c)
 
     # level k splits [0, 2^e] into brackets [j, j+1] * 2^(e-k); the midpoint of
     # bracket j is (2j+1) * 2^(e-k-1).  Stop once 2^(e-k) <= width = num/den.
@@ -356,7 +359,8 @@ def isolate_largest_positive_root(
     j = k = 0
     while den << max(0, e - k) > num << max(0, k - e):
         j, k = 2 * j, k + 1
-        if _scaled_value(ints, j + 1, k - e) <= 0:
-            j += 1
+        below = [ints for ints in live if _scaled_value(ints, j + 1, k - e) <= 0]
+        if below:
+            j, live = j + 1, below
     step = Fraction(2) ** (e - k)
     return RootBracket(lo=j * step, hi=(j + 1) * step)

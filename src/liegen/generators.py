@@ -90,6 +90,7 @@ class GeneratorPair(namedtuple("GeneratorPair", "n first second family b")):
     """A pair of nilpotent matrices generating a Lie algebra."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: both check
 
     def __new__(cls, n: int, first: Matrix, second: Matrix, family: str,
                 b: tuple[Fraction, ...] | None = None) -> GeneratorPair:
@@ -122,13 +123,14 @@ def lower_bidiagonal(b: Sequence[Fraction]) -> Matrix:
     return Matrix.from_units(n, [(i + 1, i, b[i - 1]) for i in range(1, n)])
 
 
-def lower_coefficient(b: Sequence[Fraction], j: int, d: int) -> Fraction:
-    """c_{d,j} = b_{j-1} b_{j-2} ... b_{j-d} (1 for d = 0), the (j, j - d) entry
-    of z^d for z = lower_bidiagonal(b)."""
-    out = Fraction(1)
-    for k in range(1, d + 1):
-        out *= b[j - k - 1]
-    return out
+def lower_coefficients(b: Sequence[Fraction]) -> list[list[Fraction]]:
+    """c with c[j][d] = c_{d,j} = b_{j-1} b_{j-2} ... b_{j-d} (1 for d = 0), the
+    (j, j - d) entry of z^d for z = lower_bidiagonal(b), for 0 <= d < j <= n; c[0]
+    is empty.  Row j is 1, then b_{j-1} times row j - 1: O(n^2) products in all."""
+    c = [[], [Fraction(1)]]
+    for x in b:
+        c.append([Fraction(1)] + [x * y for y in c[-1]])
+    return c
 
 
 def shift_pair(n: int, family: str = FAMILY_CORNER) -> GeneratorPair:

@@ -13,7 +13,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .exact import Matrix, Scalar, _rat
-from .generators import bvector, lower_coefficient
+from .generators import bvector, lower_coefficients
 from .pingpong import compute_t0, s0
 
 
@@ -40,24 +40,19 @@ def exp_corner(s: Scalar, n: int) -> Matrix:
 
 
 def exp_lower(r: Scalar, b: Sequence[Scalar]) -> Matrix:
-    """c(r) = exp(r z) for z = sum b_i e_{i+1,i}; entries from the product rule."""
-    n = len(b) + 1
-    bs = bvector(b, n)
-    r = _rat(r)
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            d = j - i
-            rows[j - 1][i - 1] = (
-                lower_coefficient(bs, j, d) * r**d / math.factorial(d)
-            )
-    return Matrix(rows)
+    """c(r) = exp(r z) for z = sum b_i e_{i+1,i}: entry (j, j-d) = c_{d,j} r^d/d!."""
+    n, r = len(b) + 1, _rat(r)
+    c = lower_coefficients(bvector(b, n))
+    scale = [r**d / math.factorial(d) for d in range(n)]
+    return Matrix([[x * f for x, f in zip(c[j], scale)][::-1] + [0] * (n - j)
+                   for j in range(1, n + 1)])
 
 
 class Word(namedtuple("Word", "syllables")):
     """Reduced alternating word in two generator symbols "A" and "B"."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: both check
 
     def __new__(cls, syllables: tuple[tuple[str, int], ...]) -> Word:
         prev = None

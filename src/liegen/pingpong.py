@@ -24,7 +24,7 @@ from .exact import (
     isolate_largest_positive_root,
 )
 from .closure import classify, predicted_type, subalgebra_closure
-from .generators import build_pair, bvector, lookup_family, lower_coefficient
+from .generators import build_pair, bvector, lookup_family, lower_coefficients
 
 
 def t_inequality(n: int) -> Polynomial:
@@ -50,22 +50,12 @@ def r_inequalities(n: int, b: Sequence[Scalar]) -> list[Polynomial]:
     stored with denominators cleared (integer coefficients, matching the
     displayed paper forms: no further division by the content).
     """
-    bs = bvector(b, n)
-
-    lhs = [Fraction(0)] * n
-    lhs[n - 1] = abs(lower_coefficient(bs, n, n - 1)) / math.factorial(n - 1)
-    for i in range(2, n + 1):
-        d = n - i
-        lhs[d] -= abs(lower_coefficient(bs, n, d)) / math.factorial(d)
-
-    polys = []
-    for j in range(1, n):
-        coeffs = list(lhs)
-        for i in range(1, j + 1):
-            d = j - i
-            coeffs[d] -= abs(lower_coefficient(bs, j, d)) / math.factorial(d)
-        polys.append(Polynomial(coeffs).cleared())
-    return polys
+    c = lower_coefficients(bvector(b, n))
+    inv = [Fraction(1, math.factorial(d)) for d in range(n)]
+    lhs = [-abs(x) * f for x, f in zip(c[n], inv)]
+    lhs[n - 1] = -lhs[n - 1]
+    return [Polynomial([x - abs(y) * f for x, y, f in zip(lhs, c[j], inv)] + lhs[j:]).cleared()
+            for j in range(1, n)]
 
 
 class PingPongBound(namedtuple("PingPongBound", "kind polys bracket safe_value")):
@@ -73,13 +63,14 @@ class PingPongBound(namedtuple("PingPongBound", "kind polys bracket safe_value")
     positive at safe_value and beyond."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: both check
 
     def __new__(cls, kind: str, polys: tuple[Polynomial, ...], bracket: RootBracket | None,
                 safe_value: Fraction) -> PingPongBound:
         # witness of p > 0 on [safe_value, oo): lead > 0, <= 1 sign change, p(safe) > 0
         for p in polys:
-            cs = p.coefficients
-            if p(safe_value) <= 0 or cs[-1] < 0 or _descartes_sign_changes(cs) > 1:
+            ints = p.integer_coefficients()
+            if p(safe_value) <= 0 or ints[-1] < 0 or _descartes_sign_changes(ints) > 1:
                 raise AssertionError("safe_value lacks a positivity witness")
         if bracket is not None and bracket.hi > safe_value:
             raise AssertionError("bracket exceeds safe_value")
@@ -87,16 +78,11 @@ class PingPongBound(namedtuple("PingPongBound", "kind polys bracket safe_value")
 
 
 def _bound_from_polys(kind: str, polys: Sequence[Polynomial], width: Fraction) -> PingPongBound:
-    brackets = [isolate_largest_positive_root(p, width) for p in polys]
-    real = [br for br in brackets if br is not None]
-    if not real:
-        return PingPongBound(kind=kind, polys=tuple(polys), bracket=None,
-                             safe_value=Fraction(0))
     # one sign change each puts every root below top.hi, so the least
     # multiple of 1/1024 at or above top.hi is safe
-    top = max(real, key=lambda br: br.hi)
-    return PingPongBound(kind=kind, polys=tuple(polys), bracket=top,
-                         safe_value=Fraction(math.ceil(top.hi * 1024), 1024))
+    top = isolate_largest_positive_root(polys, width)
+    safe = Fraction(0) if top is None else Fraction(math.ceil(top.hi * 1024), 1024)
+    return PingPongBound(kind=kind, polys=tuple(polys), bracket=top, safe_value=safe)
 
 
 def compute_t0(n: int, width: Fraction = DEFAULT_WIDTH) -> PingPongBound:

@@ -510,3 +510,21 @@ def test_python_dash_m_runs_the_cli(module):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "liegen: error: scan needs exactly one of --s (corner) or --r (lower)\n"
+
+
+def test_a_closed_stdout_exits_141_without_a_message():
+    """``liegen ... | head -c 10``: the reader goes away while 424 kB of output,
+    more than a pipe buffer holds, are still unwritten."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liegen", "exp", "--kind", "upper", "--n", "100", "--t", "1/3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "kind"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

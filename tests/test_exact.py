@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from liegen.exact import (
     MIN_WIDTH,
     Matrix,
     Polynomial,
+    RootBracket,
     SpanBasis,
     bracket,
     isolate_largest_positive_root,
@@ -163,6 +165,24 @@ class TestPolynomial:
         assert p(2) == 0
         assert p(Fraction(1, 3)) == Fraction(1, 18) - 2
 
+    def test_call_matches_fraction_horner(self):
+        # p(x) in one integer sum and one Fraction: the value that Fraction
+        # Horner steps give, at integers, 0, negative points and rationals
+        rng = random.Random(17)
+        points = [0, 1, -1, 2, Fraction(-7, 3), Fraction(1, 1024), Fraction(10**30, -7)]
+        points += [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(40)]
+        polys = [Polynomial([]), Polynomial([0]), Polynomial([5]), Polynomial([Fraction(-2, 3)]),
+                 Polynomial([0, 0, 1]), t_inequality(12)]
+        polys += r_inequalities(5, (Fraction(3, 2), -4, 7, Fraction(-1, 5)))
+        for degree in range(1, 15):
+            polys.append(Polynomial(
+                [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(degree + 1)]))
+        for p in polys:
+            for x in points:
+                got = p(x)
+                assert type(got) is Fraction, (p, x)
+                assert got == fraction_horner(p.coefficients, x), (p, x)
+
     def test_cleared(self):
         p = Polynomial([Fraction(-1, 3), Fraction(1, 6)])
         assert p.cleared().coefficients == (Fraction(-2), Fraction(1))
@@ -171,20 +191,20 @@ class TestPolynomial:
 
 class TestRootIsolation:
     def test_linear(self):
-        br = isolate_largest_positive_root(Polynomial([-2, 1]))
+        br = isolate_largest_positive_root([Polynomial([-2, 1])])
         assert br.lo <= 2 <= br.hi
         assert br.hi - br.lo <= DEFAULT_WIDTH
 
     def test_quadratic(self):
         # largest positive root of T^2/2 - 2T - 2 is 2 + 2*sqrt(2)
         p = Polynomial([-2, -2, Fraction(1, 2)])
-        br = isolate_largest_positive_root(p)
+        br = isolate_largest_positive_root([p])
         assert p(br.lo) <= 0 < p(br.hi)
         assert abs(float(br.lo) - 4.82842712474619) < 1e-9
 
     def test_cubic(self):
         p = Polynomial([-12, -12, -6, 1])
-        br = isolate_largest_positive_root(p)
+        br = isolate_largest_positive_root([p])
         # frozen from an independent float bisection of the same cubic
         assert abs(float(br.lo) - 7.748544817625866) < 1e-9
         assert 7.7 < float(br.lo) and float(br.hi) < 7.8
@@ -192,35 +212,35 @@ class TestRootIsolation:
     def test_sign_contract_and_positivity_above(self):
         for coeffs in ([-2, 1], [-12, -12, -6, 1], [-2, -14, -84, 224]):
             p = Polynomial(coeffs)
-            br = isolate_largest_positive_root(p)
+            br = isolate_largest_positive_root([p])
             assert p(br.lo) <= 0
             assert p(br.hi) > 0
             assert p(br.hi + 1) > 0
 
     def test_no_positive_root(self):
-        assert isolate_largest_positive_root(Polynomial([1, 0, 1])) is None
-        assert isolate_largest_positive_root(Polynomial([0, 2, 3])) is None
+        assert isolate_largest_positive_root([Polynomial([1, 0, 1])]) is None
+        assert isolate_largest_positive_root([Polynomial([0, 2, 3])]) is None
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            isolate_largest_positive_root(Polynomial([]))
+            isolate_largest_positive_root([Polynomial([])])
 
     @pytest.mark.parametrize("w", [0, -1])
     def test_width_must_be_positive(self, w):
         with pytest.raises(ValueError):
-            isolate_largest_positive_root(Polynomial([-2, 1]), width=Fraction(w))
+            isolate_largest_positive_root([Polynomial([-2, 1])], width=Fraction(w))
 
     def test_requested_width(self):
         w = Fraction(1, 1000)
-        br = isolate_largest_positive_root(Polynomial([-2, 1]), width=w)
+        br = isolate_largest_positive_root([Polynomial([-2, 1])], width=w)
         assert br.hi - br.lo <= w
 
     def test_width_below_minimum_rejected(self):
         p = Polynomial([-2, 1])
-        br = isolate_largest_positive_root(p, width=MIN_WIDTH)
+        br = isolate_largest_positive_root([p], width=MIN_WIDTH)
         assert br.lo <= 2 <= br.hi
         with pytest.raises(ValueError, match="at least 2\\^-256"):
-            isolate_largest_positive_root(p, width=MIN_WIDTH / 2)
+            isolate_largest_positive_root([p], width=MIN_WIDTH / 2)
 
     def test_more_than_one_sign_change_rejected(self):
         # (x-1)(x-100)(x-100001/1000): a coarse dyadic grid over [0, 2^e]
@@ -228,7 +248,7 @@ class TestRootIsolation:
         p = Polynomial([-10000100, 10200101, -201001, 1000])
         assert p(Fraction(1000005, 10000)) < 0
         with pytest.raises(ValueError, match="sign changes"):
-            isolate_largest_positive_root(p)
+            isolate_largest_positive_root([p])
 
 
 def fujiwara_exponent(p):
@@ -255,6 +275,48 @@ def fraction_bisection(p, width):
     return lo, hi
 
 
+def fraction_horner(coefficients, x):
+    """p(x) with every Horner step in ``Fraction``."""
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
+
+
+def sign_changes(coefficients):
+    signs = [c > 0 for c in coefficients if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@functools.cache
+def isolate_one(p, width):
+    """One polynomial's own bisection, as every polynomial of a bound was
+    bisected before one bisection served them all: None without a sign
+    change, else [0, 2^e] for p's own Fujiwara exponent e, halved while wider
+    than width.  The sign at a midpoint a/b is that of the integer sum
+    sum c_i a^i b^(d-i) over the cleared coefficients c."""
+    if sign_changes(p.coefficients) == 0:
+        return None
+    ints = p.integer_coefficients()
+    lo, hi = Fraction(0), Fraction(2) ** fujiwara_exponent(p)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        value, scale = 0, 1
+        for c in reversed(ints):
+            value, scale = value * mid.numerator + c * scale, scale * mid.denominator
+        if value <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return RootBracket(lo, hi)
+
+
+def per_polynomial_bracket(polys, width):
+    """Each polynomial bisected alone, then the bracket with the largest hi."""
+    brackets = [isolate_one(p, width) for p in polys]
+    return max(filter(None, brackets), key=lambda br: br.hi, default=None)
+
+
 def random_b_vectors(rng, n, count):
     """Nonzero b-vectors of length n - 1, integer and fractional."""
     for _ in range(count):
@@ -275,7 +337,7 @@ class TestIntegerBisectionMatchesFractionBisection:
 
     def check(self, p, log_width):
         width = Fraction(1, 2**log_width)
-        br = isolate_largest_positive_root(p, width)
+        br = isolate_largest_positive_root([p], width)
         assert (br.lo, br.hi) == fraction_bisection(p, width)
 
     @pytest.mark.parametrize("log_width", LOG_WIDTHS)
@@ -301,6 +363,63 @@ class TestIntegerBisectionMatchesFractionBisection:
             self.check(Polynomial(low + [lead]), log_width)
 
 
+class TestJointBisectionMatchesPerPolynomialBisection:
+    """One bisection for all of a bound's polynomials gives the bracket that
+    bisecting each alone and keeping the largest hi gives: equal, not merely
+    both valid.  At widths 1, 3 and 1000 some polynomials have 2^e <= width,
+    so their own bracket is [0, 2^e] with no halving at all."""
+
+    WIDTHS = [Fraction(1, 2), Fraction(1, 2**40), Fraction(1, 2**160), Fraction(1, 2**256),
+              Fraction(1), Fraction(3), Fraction(1000)]
+    WIDTH_IDS = ["2^-1", "2^-40", "2^-160", "2^-256", "1", "3", "1000"]
+    # no sign change: each drops out
+    POSITIVE = [Polynomial([1, 0, 1]), Polynomial([0, 2, 3]), Polynomial([7])]
+    # roots far below 1: 2^e < 1
+    SMALL = [Polynomial([-1, 10**6]), Polynomial([-3, 0, 7 * 10**12])]
+
+    def check(self, polys, width):
+        got = isolate_largest_positive_root(polys, width)
+        want = per_polynomial_bracket(polys, width)
+        assert got == want, (polys, width)
+        return got
+
+    @pytest.fixture(params=WIDTHS, ids=WIDTH_IDS)
+    def width(self, request):
+        return request.param
+
+    def test_t_inequalities(self, width):
+        for n in range(2, 41):
+            assert self.check([t_inequality(n)], width) is not None
+
+    def test_doubling_r_inequalities(self, width):
+        for n in range(3, 21):
+            self.check(r_inequalities(n, doubling_bvector(n)), width)
+        self.check(self.SMALL + r_inequalities(20, doubling_bvector(20)), width)
+
+    def test_g2_r_inequalities(self, width):
+        self.check(r_inequalities(7, G2_LOWER_B), width)
+        self.check([t_inequality(7)] + r_inequalities(7, G2_LOWER_B), width)
+
+    def test_random_b_vectors_and_mixes(self, width):
+        rng = random.Random(23)
+        for i in range(50):
+            n = rng.randint(3, 12)
+            if i % 2:
+                b = [rng.choice([-1, 1]) * rng.randint(1, 20) for _ in range(n - 1)]
+            else:
+                (b,) = random_b_vectors(rng, n, 1)
+            polys = r_inequalities(n, b)
+            self.check(polys, width)
+            self.check(self.POSITIVE[:1] + polys + self.POSITIVE[1:], width)
+            self.check(polys[::-1] + [t_inequality(n)] + self.SMALL, width)
+
+    def test_small_roots_and_no_sign_change(self, width):
+        assert self.check(self.SMALL, width) is not None
+        assert self.check(self.POSITIVE[1:] + self.SMALL[::-1], width) is not None
+        assert self.check(self.POSITIVE, width) is None
+        assert self.check([], width) is None
+
+
 class TestDyadicBrackets:
     """Bisection of [0, 2^e] keeps both endpoints on a dyadic grid and below
     Fujiwara's bound, where p is already positive."""
@@ -313,7 +432,7 @@ class TestDyadicBrackets:
         polys += r_inequalities(7, G2_LOWER_B)
         polys += [Polynomial([-1, 10**6]), Polynomial([-3, 0, 7 * 10**12])]  # e < 0
         for p in polys:
-            br = isolate_largest_positive_root(p, width)
+            br = isolate_largest_positive_root([p], width)
             top = Fraction(2) ** fujiwara_exponent(p)
             for x in br:
                 assert x.denominator & (x.denominator - 1) == 0, (p, x)
@@ -326,5 +445,13 @@ class TestDyadicBrackets:
         calls = []
         original = exact._scaled_value
         monkeypatch.setattr(exact, "_scaled_value", lambda *a: calls.append(a) or original(*a))
-        isolate_largest_positive_root(t_inequality(40))
+        isolate_largest_positive_root([t_inequality(40)])
         assert len(calls) == 48
+
+    def test_g2_r0_takes_50_sign_evaluations(self, monkeypatch):
+        # 265 when each of the six polynomials was bisected alone
+        calls = []
+        original = exact._scaled_value
+        monkeypatch.setattr(exact, "_scaled_value", lambda *a: calls.append(a) or original(*a))
+        isolate_largest_positive_root(r_inequalities(7, G2_LOWER_B))
+        assert len(calls) == 50

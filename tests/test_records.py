@@ -25,6 +25,35 @@ def test_bad_fields_are_refused(build, error, message):
         build()
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: compute_t0(4)._replace(safe_value=Fraction(0)),
+     AssertionError, "safe_value lacks a positivity witness"),
+    (lambda: PingPongBound._make(compute_t0(4)[:3] + (Fraction(0),)),
+     AssertionError, "safe_value lacks a positivity witness"),
+    (lambda: shift_pair(3)._replace(second=Matrix.identity(3)),
+     ValueError, "generator is not nilpotent"),
+    (lambda: GeneratorPair._make((3, shift_matrix(3), shift_matrix(4), "corner", None)),
+     ValueError, "generator dimension mismatch"),
+    (lambda: Word((("A", 1),))._replace(syllables=(("A", 1), ("A", 2))),
+     ValueError, "word is not reduced"),
+    (lambda: Word._make([(("B", 0),)]), ValueError, "zero exponent"),
+], ids=["replace-safe-value", "make-bound", "replace-second", "make-pair",
+        "replace-syllables", "make-word"])
+def test_make_and_replace_keep_the_checks(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize("record", [
+    shift_pair(3), compute_t0(4), Word((("A", 1), ("B", -2))),
+], ids=["GeneratorPair", "PingPongBound", "Word"])
+def test_make_and_replace_rebuild_a_good_record(record):
+    assert type(record)._make(record) == record
+    assert record._replace() == record
+    field = record._fields[-1]
+    assert record._replace(**{field: getattr(record, field)}) == record
+
+
 @pytest.mark.parametrize("record", [
     shift_pair(3),
     compute_t0(3),

@@ -57,7 +57,7 @@ def many_changes(draw):
 
 
 def check_against_sympy(coeffs, width):
-    br = isolate_largest_positive_root(Polynomial(coeffs), width)
+    br = isolate_largest_positive_root([Polynomial(coeffs)], width)
     poly = sp.Poly(list(reversed(coeffs)), X)
     positive = [iv for iv, _ in poly.intervals() if iv[1] > 0]
     assert len(positive) == 1
@@ -84,7 +84,7 @@ def test_one_sign_change_bracket_holds_the_positive_root(coeffs, width):
 @hypothesis.given(many_changes())
 def test_two_or_more_sign_changes_raise(coeffs):
     with pytest.raises(ValueError):
-        isolate_largest_positive_root(Polynomial(coeffs))
+        isolate_largest_positive_root([Polynomial(coeffs)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9, 12, 17])
