@@ -2,11 +2,12 @@
 
 All numeric output is exact ("p/q" strings); decimal values appear only in
 auxiliary "approx" fields.  Exit codes: 0 success / certified / clean scan,
-1 unrecognized / insufficient / collision, 2 bad input, 3 internal error, 141 closed stdout.
-``main`` may be called repeatedly in one process; every call parses with
-the one parser that ``build_parser`` builds on first use.  ``read_inputs``
-then reads and checks every flag and file, and the ``cmd_*`` functions only
-compute and emit, with Python's int/str digit limit lifted while they run.
+1 unrecognized / insufficient / collision, 2 bad input, 3 internal error or
+failed write to stdout, 141 closed stdout.  ``main`` may be called repeatedly
+in one process; every call parses with the one parser that ``build_parser``
+builds on first use.  ``read_inputs`` then reads and checks every flag and
+file, and the ``cmd_*`` functions only compute and emit, with Python's
+int/str digit limit lifted while they run.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
 def read_number(text: str, source: str) -> Fraction:
     """text, read from ``source`` (a flag or a file path), as an exact number;
     ValueError naming the source for a zero denominator, or when its numerator
-    or denominator has more digits than Python's int/str limit (none before
-    3.10.7).  The digits before a decimal exponent are read under that limit,
+    or denominator has more digits than Python's int/str limit (Python >= 3.10.7;
+    0 lifts it).  The digits before a decimal exponent are read under that limit,
     so a nonzero number whose exponent passes twice the limit is refused
     before it is built."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = sys.get_int_max_str_digits()
     try:
         exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
         if limit and exponent and abs(int(exponent[1])) > 2 * limit:
@@ -147,8 +148,11 @@ def read_inputs(args: argparse.Namespace) -> None:
     if args.command == "closure":
         args.matrices = []
         for path in args.files:
-            with open(path) as fh:  # JSON integers are read under the digit limit too
-                doc = json.load(fh, parse_int=lambda text: int(read_number(text, path)))
+            try:
+                with open(path) as fh:  # JSON integers are read under the digit limit too
+                    doc = json.load(fh, parse_int=lambda text: int(read_number(text, path)))
+            except OSError as exc:  # an unreadable file is bad input
+                raise ValueError(exc) from None
             args.matrices.append(matrix_from_doc(doc, path))
         return
     if args.command == "thin":
@@ -197,7 +201,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_gen_or_closure_report(seed: Sequence[Matrix], n: int) -> tuple[dict, int]:
     result = subalgebra_closure(list(seed))
-    label = classify(n, result)
+    label = classify(n, result.dim)
     doc = {
         "dim": result.dim,
         "rounds": result.rounds,
@@ -384,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one invocation and return its exit code; argparse errors raise
-    ``SystemExit(2)``."""
+    ``SystemExit(2)``, and a failed write to stdout its ``OSError``."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -393,17 +397,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             if value == []:
                 parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
         read_inputs(args)
-        if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
-            return args.func(args)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # inputs were read under it; exact output may pass it
         try:
             return args.func(args)
         finally:
             sys.set_int_max_str_digits(limit)
-    except BrokenPipeError:  # the reader of stdout left: not bad input
+    except OSError:  # a failed write to stdout, which ``run`` reports: not bad input
         raise
-    except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"liegen: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
@@ -412,14 +414,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Exit with ``main``'s code, or with 141 (128 + SIGPIPE) once stdout is closed."""
+    """Exit with ``main``'s code, with 141 (128 + SIGPIPE) once stdout is closed,
+    or with 3 when writing stdout fails otherwise."""
     try:
         code = main()
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-    except BrokenPipeError:
+        sys.stdout.flush()  # a failed write shows here, not at interpreter exit
+    except OSError as exc:
         # Python docs, "Note on SIGPIPE": stdout to devnull so that the final flush is quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
+        if isinstance(exc, BrokenPipeError):
+            sys.exit(141)
+        print(f"liegen: error: cannot write output: {exc}", file=sys.stderr)
+        code = 3
     sys.exit(code)
 
 

@@ -85,38 +85,29 @@ class TypeLabel(namedtuple("TypeLabel", "family rank dim")):
         return self.family
 
 
-def classify(n: int, result: ClosureResult) -> TypeLabel:
-    """Type lookup by (matrix size, closure dimension).
+def simple_types(n: int) -> list[TypeLabel]:
+    """The simple types a subalgebra of gl(n) is named as, in lookup order:
+    A_{n-1}, then C_m for n = 2m or B_m for n = 2m + 1, both of dimension
+    m(2m + 1), then G2 at n = 7."""
+    m = n // 2
+    types = [TypeLabel("A", n - 1, n * n - 1),
+             TypeLabel("C" if n % 2 == 0 else "B", m, m * (2 * m + 1))]
+    return types + [TypeLabel("G2", 2, 14)] if n == 7 else types
 
-    B and C share the dimension m(2m+1); n's parity disambiguates.  The
-    G2 case is pinned to (n, dim) = (7, 14).
-    """
-    return _type_of(n, result.dim)
 
-
-def _type_of(n: int, dim: int) -> TypeLabel:
+def classify(n: int, dim: int) -> TypeLabel:
+    """Type lookup by (matrix size, closure dimension): the first simple type
+    of that dimension, so A before C at n = 2."""
     if dim == n * n:
         return TypeLabel(family="full_matrix_algebra", rank=None, dim=dim)
-    if dim == 0:  # the zero algebra, which is not simple, would read as A0
-        return TypeLabel(family="unrecognized", rank=None, dim=dim)
-    if dim == n * n - 1:
-        return TypeLabel(family="A", rank=n - 1, dim=dim)
-    if n == 7 and dim == 14:
-        return TypeLabel(family="G2", rank=2, dim=dim)
-    if n % 2 == 0:
-        m = n // 2
-        if dim == m * (2 * m + 1):
-            return TypeLabel(family="C", rank=m, dim=dim)
-    else:
-        m = (n - 1) // 2
-        if dim == m * (2 * m + 1):
-            return TypeLabel(family="B", rank=m, dim=dim)
-    return TypeLabel(family="unrecognized", rank=None, dim=dim)
+    # dim > 0: the zero algebra, which is not simple, would read as A0
+    named = [t for t in simple_types(n) if t.dim == dim > 0]
+    return named[0] if named else TypeLabel(family="unrecognized", rank=None, dim=dim)
 
 
 def predicted_type(family: str, n: int) -> TypeLabel:
     """The type the family's pair generates (a lower pair: when b passes
-    Proposition 2), as classify's lookup at the family's target dimension."""
+    Proposition 2): the family's target type in the table of gl(n)'s types."""
     fam = lookup_family(family)
     n = fam.check(n)
-    return _type_of(n, fam.target_dim(n))
+    return next(t for t in simple_types(n) if t.family == fam.target(n))

@@ -212,15 +212,9 @@ class SpanBasis:
     def insert(self, m: Matrix) -> bool:
         return self.insert_flat(self._flatten(m))
 
-    def insert_flat(self, v: Sequence[int] | dict[int, int]) -> bool:
-        """Insert an integer row vector, dense (length n^2) or sparse
-        (``{row-major index: int}``); returns True iff the rank grew."""
-        size = self.n * self.n
-        if not isinstance(v, dict):
-            if len(v) != size:
-                raise ValueError(f"dimension mismatch: expected n={self.n}")
-            v = dict(enumerate(v))
-        if any(not 0 <= k < size for k in v):
+    def insert_flat(self, v: dict[int, int]) -> bool:
+        """Insert a sparse row ``{row-major index: int}``; True iff the rank grew."""
+        if any(not 0 <= k < self.n * self.n for k in v):
             raise ValueError(f"index out of range for n={self.n}")
         v = self._reduce({k: x for k, x in v.items() if x})
         if not v:

@@ -23,7 +23,7 @@ FAMILY_G2 = "g2_7x7"
 G2_LOWER_B = tuple(Fraction(x) for x in (1, -1, 2, 2, -1, 1))
 
 
-class Family(namedtuple("Family", "name alias min_n second target_dim shift_units fixed_b",
+class Family(namedtuple("Family", "name alias min_n second target shift_units fixed_b",
                         defaults=(None, None))):
     """Every per-family fact; FAMILIES holds one record per family.  The second
     generator is a shift pair's corner (``shift_units``) or lower bidiagonal,
@@ -32,7 +32,7 @@ class Family(namedtuple("Family", "name alias min_n second target_dim shift_unit
     - ``alias``: the CLI's --family value;
     - ``min_n``: the smallest n the pair exists for;
     - ``second``: "s" (bound s0 = 2), "r" (bound r0), None (no certified bound);
-    - ``target_dim(n)``: dim of the simple algebra the pair generates;
+    - ``target(n)``: the type of the algebra the pair generates, "A", "B", "C" or "G2";
     - ``shift_units(n)``: the (i, j, c) units of y, or None.
     """
 
@@ -69,13 +69,13 @@ class Family(namedtuple("Family", "name alias min_n second target_dim shift_unit
 
 FAMILIES = {f.name: f for f in (
     Family(FAMILY_CORNER, "corner", 3, "s",
-           lambda n: n * (n + 1) // 2 if n % 2 == 0 else n * n - 1,
+           lambda n: "C" if n % 2 == 0 else "A",
            shift_units=lambda n: [(n, 1, 1)]),
     Family(FAMILY_DOUBLE_CORNER, "double_corner", 4, None,
-           lambda n: n * n - 1 if n % 2 == 0 else 14 if n == 7 else n * (n - 1) // 2,
+           lambda n: "A" if n % 2 == 0 else "G2" if n == 7 else "B",
            shift_units=lambda n: [(n - 1, 1, 1), (n, 2, 1)]),
-    Family(FAMILY_LOWER, "lower", 3, "r", lambda n: n * n - 1),
-    Family(FAMILY_G2, "g2", 7, "r", lambda n: 14, fixed_b=G2_LOWER_B),
+    Family(FAMILY_LOWER, "lower", 3, "r", lambda n: "A"),
+    Family(FAMILY_G2, "g2", 7, "r", lambda n: "G2", fixed_b=G2_LOWER_B),
 )}
 
 
@@ -189,20 +189,17 @@ def _plus_minus_distinct(values: Sequence[Fraction]) -> bool:
     return len(signed) == 2 * len(values)
 
 
-def prop2_criterion(
-    cartan: Matrix | Sequence[Sequence[Scalar]], b: Sequence[Scalar]
-) -> CriterionResult:
-    """Generation criterion for x = sum x_i, y = sum b_i y_i.
+def prop2_criterion(cartan: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> CriterionResult:
+    """Generation criterion for x = sum x_i, y = sum b_i y_i, from the rows of C.
 
     Computes v = C b and holds iff the 2l values {+-v_i} are pairwise
     distinct (in particular no v_i is zero).
     """
-    rows = cartan.rows if isinstance(cartan, Matrix) else [list(r) for r in cartan]
-    ell = len(rows)
-    if any(len(r) != ell for r in rows):
+    ell = len(cartan)
+    if any(len(r) != ell for r in cartan):
         raise ValueError("Cartan matrix must be square")
     bs = bvector(b, ell + 1)
-    v = tuple(sum(_rat(c) * x for c, x in zip(row, bs)) for row in rows)
+    v = tuple(sum(_rat(c) * x for c, x in zip(row, bs)) for row in cartan)
     return CriterionResult(holds=_plus_minus_distinct(v), values=v)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .exact import Matrix, Scalar, _rat
@@ -73,14 +73,6 @@ class Word(namedtuple("Word", "syllables")):
         return " ".join(f"{g}^{e}" for g, e in self.syllables) or "(empty)"
 
 
-GeneratorMap = Callable[[int], Matrix]
-
-
-def one_parameter_power(gen: Callable[[Scalar], Matrix], param: Scalar) -> GeneratorMap:
-    """Power map m -> gen(m * param) for a one-parameter subgroup."""
-    return lambda m: gen(m * _rat(param))
-
-
 class ScanReport(namedtuple("ScanReport", "n max_syllables max_exponent words_checked "
                                           "collisions parameters")):
     """Result of an exhaustive identity scan over reduced words."""
@@ -139,21 +131,17 @@ def freeness_scan(
                 f"a scan of {max_syllables} syllables with exponents up to "
                 f"{max_exponent} exceeds the work cap of {MAX_HALF_WORDS} half-words"
             )
-    gen_a = one_parameter_power(lambda u: exp_upper(u, n), t)
     params: dict = {"t": _rat(t)}
     if s is not None:
-        gen_b = one_parameter_power(lambda u: exp_corner(u, n), s)
         params["s"] = _rat(s)
     else:
-        bs = bvector(b, n)
-        gen_b = one_parameter_power(lambda u: exp_lower(u, bs), r)
-        params["r"] = _rat(r)
-        params["b"] = bs
+        params["r"], params["b"] = _rat(r), bvector(b, n)
 
     exponents = [e for e in range(-max_exponent, max_exponent + 1) if e != 0]
-    syllable_mats = {
-        ("A", e): gen_a(e) for e in exponents
-    } | {("B", e): gen_b(e) for e in exponents}
+    syllable_mats = {("A", e): exp_upper(e * params["t"], n) for e in exponents} | {
+        ("B", e): exp_corner(e * params["s"], n) if s is not None
+        else exp_lower(e * params["r"], params["b"]) for e in exponents
+    }
 
     # (length, product) -> the reduced words of that length with that product
     table: dict[tuple[int, Matrix], list[tuple]] = {(0, Matrix.identity(n)): [()]}

@@ -156,7 +156,7 @@ def certify_free_dense(
         params["b"] = pair.b
 
     closure = subalgebra_closure([pair.first, pair.second])
-    label = classify(n, closure)
+    label = classify(n, closure.dim)
     target = predicted_type(family, n)
     t_bound = compute_t0(n, width)
     density_ok = closure.dim == target.dim and t != 0 and second_val != 0

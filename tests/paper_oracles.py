@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from liegen.exact import Matrix, Scalar, bracket
 from liegen.generators import (
@@ -20,7 +20,7 @@ from liegen.generators import (
     CriterionResult,
     g2_pair,
 )
-from liegen.groups import GeneratorMap, Word, exp_corner, exp_lower, exp_upper
+from liegen.groups import Word, exp_corner, exp_lower, exp_upper
 from liegen.pingpong import compute_r0, compute_t0, s0
 
 
@@ -151,7 +151,9 @@ def exp_nilpotent(m: Matrix, t: Scalar) -> Matrix:
     return total
 
 
-def word_eval(word: Word, gen_a: GeneratorMap, gen_b: GeneratorMap) -> Matrix:
+def word_eval(
+    word: Word, gen_a: Callable[[int], Matrix], gen_b: Callable[[int], Matrix]
+) -> Matrix:
     """Product of the word's syllables, left to right; gen_a(0) is the identity."""
     maps = {"A": gen_a, "B": gen_b}
     return math.prod((maps[g](e) for g, e in word.syllables), start=gen_a(0))

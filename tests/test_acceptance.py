@@ -39,7 +39,6 @@ from liegen.groups import (
     exp_upper,
     form_matrix,
     freeness_scan,
-    one_parameter_power,
     thin_pair,
 )
 from liegen.pingpong import compute_r0, compute_t0, r_inequalities, t_inequality
@@ -69,7 +68,7 @@ def finish(number, failures):
 
 def closure_name(pair):
     res = subalgebra_closure([pair.first, pair.second])
-    return classify(pair.n, res).name, res.dim
+    return classify(pair.n, res.dim).name, res.dim
 
 
 def test_acceptance_01_closure_type_table():
@@ -269,8 +268,8 @@ def test_acceptance_08_form_preservation():
     for n in (4, 6):
         rng = random.Random(80 + n)
         j = form_matrix(n)
-        gen_a = one_parameter_power(lambda u, n=n: exp_upper(u, n), Fraction(7, 3))
-        gen_b = one_parameter_power(lambda u, n=n: exp_corner(u, n), Fraction(-9, 4))
+        gen_a = lambda m, n=n: exp_upper(m * Fraction(7, 3), n)
+        gen_b = lambda m, n=n: exp_corner(m * Fraction(-9, 4), n)
         for k in range(50):
             length = rng.randint(1, 6)
             sym = rng.choice("AB")

@@ -89,6 +89,12 @@ class TestClassifyAndClosure:
         code, _ = run(capsys, "closure", str(bad))
         assert code == 2
 
+    def test_closure_unreadable_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, err = run_bad(capsys, "closure", str(missing))
+        assert code == 2
+        assert err == f"liegen: error: [Errno 2] No such file or directory: '{missing}'\n"
+
     def test_closure_unrecognized_exits_1(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(json.dumps(matrix_to_doc(Matrix.unit(3, 1, 2))))
@@ -390,11 +396,6 @@ class TestBadInput:
         capsys.readouterr()
 
 
-needs_digit_limit = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"),
-    reason="Python before 3.10.7 has no int/str digit limit")
-
-
 def refused_past_the_limit(err, source):
     """The refusal names the flag or file and gives no advice to lift the limit."""
     return (f"liegen: error: {source}: Exceeds the limit" in err
@@ -406,20 +407,18 @@ class TestDigitLimit:
     may run past it; ``main`` lifts the limit only while a command runs."""
 
     def test_output_past_the_limit(self, capsys):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        limit = sys.get_int_max_str_digits()
         code, doc = run(capsys, "exp", "--kind", "upper", "--n", "3", "--t", "1e2200")
         assert code == 0
         assert doc["matrix"]["entries"][0][2] == "5" + "0" * 4399
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        assert sys.get_int_max_str_digits() == limit
 
-    @needs_digit_limit
     def test_argv_number_past_the_limit_exits_2(self, capsys):
         limit = sys.get_int_max_str_digits()
         code, err = run_bad(capsys, "exp", "--kind", "upper", "--n", "3", "--t", "1" * 5001)
         assert code == 2 and refused_past_the_limit(err, "--t")
         assert sys.get_int_max_str_digits() == limit
 
-    @needs_digit_limit
     @pytest.mark.parametrize("args, source", [
         (("--kind", "upper", "--t", "1/" + "3" * 5001), "--t"),
         (("--kind", "lower", "--r", "1", "--b", "2," + "1" * 5001), "--b"),
@@ -428,13 +427,11 @@ class TestDigitLimit:
         code, err = run_bad(capsys, "exp", "--n", "3", *args)
         assert code == 2 and refused_past_the_limit(err, source)
 
-    @needs_digit_limit
     @pytest.mark.parametrize("t", ["1e5000", "1e-5000"])
     def test_argv_exponent_past_the_limit_exits_2(self, capsys, t):
         code, err = run_bad(capsys, "exp", "--kind", "upper", "--n", "3", "--t", t)
         assert code == 2 and refused_past_the_limit(err, "--t")
 
-    @needs_digit_limit
     def test_a_large_exponent_is_refused_before_the_value_is_built(self, capsys):
         class TooSlow(BaseException):
             """Raised by SIGALRM; ``main`` does not catch it."""
@@ -453,14 +450,12 @@ class TestDigitLimit:
             signal.signal(signal.SIGALRM, previous)
         assert code == 2 and refused_past_the_limit(err, "--t")
 
-    @needs_digit_limit
     def test_matrix_file_integer_past_the_limit_exits_2(self, capsys, tmp_path):
         f = tmp_path / "f.json"
         f.write_text('{"rows": 1, "cols": 1, "entries": [[' + "1" * 5001 + "]]}")
         code, err = run_bad(capsys, "closure", str(f))
         assert code == 2 and refused_past_the_limit(err, f)
 
-    @needs_digit_limit
     def test_matrix_file_exponent_past_the_limit_exits_2(self, capsys, tmp_path):
         f = tmp_path / "f.json"
         f.write_text('{"rows": 1, "cols": 1, "entries": [["1e5000"]]}')
@@ -499,14 +494,18 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert captured.err == "liegen: internal error: AssertionError: pair check failed\n"
 
 
+def src_env() -> dict:
+    """The environment, with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 @pytest.mark.parametrize("module", ["liegen", "liegen.cli"])
 def test_python_dash_m_runs_the_cli(module):
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", module, "scan", "--n", "2", "--t", "5", "--s", "3", "--r", "3"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "liegen: error: scan needs exactly one of --s (corner) or --r (lower)\n"
@@ -515,12 +514,9 @@ def test_python_dash_m_runs_the_cli(module):
 def test_a_closed_stdout_exits_141_without_a_message():
     """``liegen ... | head -c 10``: the reader goes away while 424 kB of output,
     more than a pipe buffer holds, are still unwritten."""
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.Popen(
         [sys.executable, "-m", "liegen", "exp", "--kind", "upper", "--n", "100", "--t", "1/3"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
     )
     assert proc.stdout.read(10) == b'{\n  "kind"'
     proc.stdout.close()
@@ -528,3 +524,17 @@ def test_a_closed_stdout_exits_141_without_a_message():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--family", "corner", "--n", "3"),  # fails at the final flush
+    ("exp", "--kind", "upper", "--n", "100", "--t", "1/3"),  # fails inside main
+], ids=["small", "large"])
+def test_a_failed_write_to_stdout_exits_3_with_one_line(argv):
+    """A full disk is not bad input: one line on stderr, no traceback, exit 3."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "liegen", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == "liegen: error: cannot write output: [Errno 28] No space left on device\n"

@@ -1,11 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from liegen.closure import (
-    ClosureResult,
     classify,
     predicted_type,
     subalgebra_closure,
@@ -20,6 +20,7 @@ from liegen.generators import (
     doubling_bvector,
     g2_pair,
     lower_pair,
+    lookup_family,
     shift_pair,
 )
 
@@ -156,19 +157,46 @@ class TestClosure:
         assert sb.rank == m * (2 * m + 1)
 
 
+# The type lookup and the families' target dimensions as written before the
+# type table, kept here as an oracle for it: each dimension by its formula.
+def formula_type(n, dim):
+    if dim == n * n:
+        return ("full_matrix_algebra", None, dim)
+    if dim == 0:
+        return ("unrecognized", None, dim)
+    if dim == n * n - 1:
+        return ("A", n - 1, dim)
+    if n == 7 and dim == 14:
+        return ("G2", 2, dim)
+    if n % 2 == 0:
+        m = n // 2
+        if dim == m * (2 * m + 1):
+            return ("C", m, dim)
+    else:
+        m = (n - 1) // 2
+        if dim == m * (2 * m + 1):
+            return ("B", m, dim)
+    return ("unrecognized", None, dim)
+
+
+TARGET_DIMS = {
+    FAMILY_CORNER: lambda n: n * (n + 1) // 2 if n % 2 == 0 else n * n - 1,
+    FAMILY_DOUBLE_CORNER: lambda n: n * n - 1 if n % 2 == 0 else 14 if n == 7 else n * (n - 1) // 2,
+    FAMILY_LOWER: lambda n: n * n - 1,
+    FAMILY_G2: lambda n: 14,
+}
+
+
 class TestClassify:
     def test_lookup(self):
-        def label(n, dim):
-            basis = SpanBasis(n)
-            return classify(n, ClosureResult(basis=basis, dim=dim, rounds=0))
-
-        assert label(5, 24).name == "A4"
-        assert label(6, 21).name == "C3"
-        assert label(7, 14).name == "G2"
-        assert label(7, 21).name == "B3"
-        assert label(3, 9).family == "full_matrix_algebra"
-        assert label(5, 17).family == "unrecognized"
-        assert label(1, 0).family == "unrecognized"
+        assert classify(5, 24).name == "A4"
+        assert classify(6, 21).name == "C3"
+        assert classify(7, 14).name == "G2"
+        assert classify(7, 21).name == "B3"
+        assert classify(2, 3).name == "A1"  # A before C1, which has the same dimension
+        assert classify(3, 9).family == "full_matrix_algebra"
+        assert classify(5, 17).family == "unrecognized"
+        assert classify(1, 0).family == "unrecognized"
 
     def test_predicted(self):
         assert predicted_type(FAMILY_CORNER, 8).name == "C4"
@@ -183,6 +211,24 @@ class TestClassify:
             predicted_type(FAMILY_CORNER, 2)
         with pytest.raises(ValueError):
             predicted_type(FAMILY_G2, 8)
+
+    def test_lookup_matches_the_dimension_formulas(self):
+        for n in range(1, 41):
+            for dim in range(n * n + 1):
+                assert classify(n, dim) == formula_type(n, dim), (n, dim)
+
+    @pytest.mark.parametrize("family", sorted(TARGET_DIMS))
+    def test_predicted_matches_the_target_dimensions(self, family):
+        """The family's target type against the lookup of its target dimension,
+        or the same ValueError where the pair does not exist."""
+        for n in ([None] if family == FAMILY_G2 else []) + list(range(1, 41)):
+            try:
+                size = lookup_family(family).check(n)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    predicted_type(family, n)
+                continue
+            assert predicted_type(family, n) == formula_type(size, TARGET_DIMS[family](size))
 
     @pytest.mark.parametrize(
         "family,ns",
@@ -199,7 +245,7 @@ class TestClassify:
             b = doubling_bvector(n) if family == FAMILY_LOWER else None
             p = build_pair(family, n, b)
             res = subalgebra_closure([p.first, p.second])
-            assert classify(n, res) == predicted_type(family, n)
+            assert classify(n, res.dim) == predicted_type(family, n)
 
 
 # ---------------------------------------------------------------- reference closure
@@ -392,7 +438,8 @@ class TestSpanBasisMatchesReference:
             else:
                 v = [rng.randint(-20, 20) if rng.random() < 0.3 else 0 for _ in range(size)]
             seen.append(v)
-            arg = v if form == "dense" else {i: x for i, x in enumerate(v) if x}
+            # a dense row lists every index, its zeros included
+            arg = {i: x for i, x in enumerate(v) if x or form == "dense"}
             assert basis.insert_flat(arg) == ref.insert_vector(v)
             assert basis.rank == len(ref.rows)
             assert basis.pivots == sorted(ref.rows)

@@ -138,7 +138,7 @@ class TestSpanBasis:
     @pytest.mark.parametrize("bad", [
         lambda sb: sb.insert(Matrix.identity(1)),
         lambda sb: sb.reduce(Matrix.identity(1)),
-        lambda sb: sb.insert_flat([1, 2, 3]),
+        lambda sb: sb.insert_flat({0: 1, 4: 1}),
         lambda sb: sb.insert_flat({4: 1}),
         lambda sb: sb.insert_flat({-1: 1}),
     ])

@@ -13,7 +13,6 @@ from liegen.groups import (
     exp_upper,
     form_matrix,
     freeness_scan,
-    one_parameter_power,
     thin_pair,
 )
 
@@ -102,7 +101,7 @@ class TestExponentials:
 
     def test_power_law(self):
         t = Fraction(7, 4)
-        powered = one_parameter_power(lambda u: exp_upper(u, 3), t)
+        powered = lambda m: exp_upper(m * t, 3)
         for m in range(1, 6):
             assert powered(m) == power(exp_upper(t, 3), m)
             assert powered(-m) * powered(m) == Matrix.identity(3)
@@ -122,13 +121,13 @@ class TestWord:
             Word((("C", 1),))
 
     def test_empty_word_is_identity(self):
-        gen_a = one_parameter_power(lambda u: exp_upper(u, 2), 3)
-        gen_b = one_parameter_power(lambda u: exp_corner(u, 2), 3)
+        gen_a = lambda m: exp_upper(m * 3, 2)
+        gen_b = lambda m: exp_corner(m * 3, 2)
         assert word_eval(Word(()), gen_a, gen_b) == Matrix.identity(2)
 
     def test_commutator_nontrivial(self):
-        gen_a = one_parameter_power(lambda u: exp_upper(u, 2), 3)
-        gen_b = one_parameter_power(lambda u: exp_corner(u, 2), 3)
+        gen_a = lambda m: exp_upper(m * 3, 2)
+        gen_b = lambda m: exp_corner(m * 3, 2)
         w = Word((("A", 1), ("B", 1), ("A", -1), ("B", -1)))
         assert word_eval(w, gen_a, gen_b) != Matrix.identity(2)
 
@@ -157,8 +156,8 @@ class TestFreenessScan:
         # B A^-1 B A B^-1 A evaluates to the identity at t = s = 1
         rep = freeness_scan(2, t=1, s=1, max_syllables=6, max_exponent=1)
         assert not rep.clean
-        gen_a = one_parameter_power(lambda u: exp_upper(u, 2), 1)
-        gen_b = one_parameter_power(lambda u: exp_corner(u, 2), 1)
+        gen_a = lambda m: exp_upper(m, 2)
+        gen_b = lambda m: exp_corner(m, 2)
         for w in rep.collisions:
             assert word_eval(w, gen_a, gen_b) == Matrix.identity(2)
 
@@ -202,11 +201,11 @@ class TestFreenessScan:
 def depth_first_scan(n, t, s=None, r=None, b=None, max_syllables=4, max_exponent=2):
     """Word count and identity hits of a scan that multiplies out every
     reduced word, depth first: the reference for ``freeness_scan``."""
-    gen_a = one_parameter_power(lambda u: exp_upper(u, n), t)
+    gen_a = lambda m: exp_upper(m * t, n)
     if s is not None:
-        gen_b = one_parameter_power(lambda u: exp_corner(u, n), s)
+        gen_b = lambda m: exp_corner(m * s, n)
     else:
-        gen_b = one_parameter_power(lambda u: exp_lower(u, b), r)
+        gen_b = lambda m: exp_lower(m * r, b)
     exponents = [e for e in range(-max_exponent, max_exponent + 1) if e != 0]
     mats = {(g, e): gen(e) for g, gen in (("A", gen_a), ("B", gen_b)) for e in exponents}
     identity = Matrix.identity(n)
@@ -325,8 +324,8 @@ class TestFormPreservation:
     def test_random_words_preserve(self):
         rng = random.Random(23)
         j = form_matrix(4)
-        gen_a = one_parameter_power(lambda u: exp_upper(u, 4), Fraction(5, 3))
-        gen_b = one_parameter_power(lambda u: exp_corner(u, 4), Fraction(-7, 2))
+        gen_a = lambda m: exp_upper(m * Fraction(5, 3), 4)
+        gen_b = lambda m: exp_corner(m * Fraction(-7, 2), 4)
         for _ in range(10):
             length = rng.randint(1, 5)
             gen = rng.choice("AB")
