@@ -181,8 +181,12 @@ def read_inputs(args: argparse.Namespace) -> None:
         if getattr(args, flag, None) is not None:
             setattr(args, flag, read_number(getattr(args, flag), f"--{flag}"))
     if "b" in used:
-        args.b = (doubling_bvector(args.n) if args.b in (None, "doubling") else
-                  bvector([read_number(x, "--b") for x in args.b.split(",")], args.n))
+        b = None if args.b in (None, "doubling") else [
+            read_number(x, "--b") for x in args.b.split(",")]
+        try:
+            args.b = doubling_bvector(args.n) if b is None else bvector(b, args.n)
+        except ValueError as exc:  # read_number's errors name the flag already
+            raise ValueError(f"--b: {exc}") from None
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -43,10 +43,6 @@ class Matrix:
         self._hash: int | None = None
 
     @classmethod
-    def zero(cls, n: int) -> "Matrix":
-        return cls([[0] * n for _ in range(n)])
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -170,8 +166,9 @@ def _eliminate(v: dict[int, int], row: dict[int, int], p: int) -> dict[int, int]
 class SpanBasis:
     """Row-reduced basis of a subspace of n-by-n matrices.
 
-    Matrices are flattened row-major to vectors of length n^2, stored sparse
-    as ``{index: int}`` of their nonzero entries.  Rows are kept as primitive
+    Matrices come in through ``insert_flat`` as integer vectors of length n^2,
+    flattened row-major and sparse, ``{index: int}`` of their nonzero entries,
+    and go out as ``rank`` and ``matrices()``.  Rows are kept as primitive
     integer vectors in reduced row-echelon form with positive pivots, keyed
     by pivot, which makes the basis canonical for a given subspace and keeps
     all arithmetic in fast machine/bignum integers.
@@ -185,32 +182,12 @@ class SpanBasis:
     def rank(self) -> int:
         return len(self._rows)
 
-    @property
-    def pivots(self) -> list[int]:
-        return sorted(self._rows)
-
-    def _flatten(self, m: Matrix) -> dict[int, int]:
-        if m.n != self.n:
-            raise ValueError(f"dimension mismatch: expected n={self.n}")
-        return _int_flatten(m)
-
     def _reduce(self, v: dict[int, int]) -> dict[int, int]:
         # every row is zero at the other pivots, so clearing one pivot of v
         # creates no entry at another
         for p in [k for k in v if k in self._rows]:
             v = _eliminate(v, self._rows[p], p)
         return v
-
-    def reduce(self, m: Matrix) -> list[int]:
-        """Remainder of m after reduction against the basis (zero iff in span)."""
-        v = _primitive(self._reduce(self._flatten(m)))
-        return [v.get(k, 0) for k in range(self.n * self.n)]
-
-    def contains(self, m: Matrix) -> bool:
-        return all(x == 0 for x in self.reduce(m))
-
-    def insert(self, m: Matrix) -> bool:
-        return self.insert_flat(self._flatten(m))
 
     def insert_flat(self, v: dict[int, int]) -> bool:
         """Insert a sparse row ``{row-major index: int}``; True iff the rank grew."""
@@ -233,7 +210,7 @@ class SpanBasis:
         n = self.n
         return [
             Matrix([[row.get(i * n + j, 0) for j in range(n)] for i in range(n)])
-            for row in map(self._rows.get, self.pivots)
+            for row in map(self._rows.get, sorted(self._rows))
         ]
 
 

@@ -66,12 +66,6 @@ class Word(namedtuple("Word", "syllables")):
             prev = gen
         return super().__new__(cls, syllables)
 
-    def __len__(self) -> int:
-        return len(self.syllables)
-
-    def __str__(self) -> str:
-        return " ".join(f"{g}^{e}" for g, e in self.syllables) or "(empty)"
-
 
 class ScanReport(namedtuple("ScanReport", "n max_syllables max_exponent words_checked "
                                           "collisions parameters")):

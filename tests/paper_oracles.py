@@ -81,7 +81,7 @@ def g2_relation_failures() -> list[str]:
     x1, x2, y1, y2 = g2_pieces()
     xs, ys = (x1, x2), (y1, y2)
     hs = (bracket(x1, y1), bracket(x2, y2))
-    zero = Matrix.zero(7)
+    zero = Matrix([[0] * 7] * 7)
     bad = []
     for i in range(2):
         for j in range(2):
@@ -134,6 +134,17 @@ def form_conjugate(z: Matrix, j: Matrix) -> Matrix:
 def check_form(g: Matrix, j: Matrix) -> bool:
     """Whether g preserves the bilinear form of J: g^T J g = J."""
     return g.transpose() * j * g == j
+
+
+# ---------------------------------------------------------------- spans
+
+
+def flat(m: Matrix) -> dict[int, int]:
+    """m as the sparse integer row that ``SpanBasis.insert_flat`` takes: its
+    nonzero entries by row-major index, times the lcm of their denominators."""
+    entries = m.flatten()
+    den = math.lcm(*(x.denominator for x in entries))
+    return {k: int(x * den) for k, x in enumerate(entries) if x}
 
 
 # ---------------------------------------------------------------- group elements

@@ -102,6 +102,23 @@ class TestClassifyAndClosure:
         assert code == 1
         assert doc["type"]["family"] == "unrecognized"
 
+    @pytest.mark.xfail(reason="ROADMAP item 1")
+    @pytest.mark.parametrize("n, units", [
+        (4, [(i, j) for i in range(1, 5) for j in range(i, 5)]),
+        (3, [(1, 2), (2, 3)]),
+    ], ids=["borel-gl4", "heisenberg-gl3"])
+    def test_solvable_closure_is_unrecognized(self, capsys, tmp_path, n, units):
+        """The upper-triangular units of gl(4) span the Borel subalgebra, of
+        dim sp(4) = 10; e12 and e23 close to the Heisenberg algebra, of
+        dim so(3) = 3.  Neither is simple, so neither may be named."""
+        files = []
+        for i, j in units:
+            f = tmp_path / f"e{i}{j}.json"
+            f.write_text(json.dumps(matrix_to_doc(Matrix.unit(n, i, j))))
+            files.append(str(f))
+        code, doc = run(capsys, "closure", *files)
+        assert (doc["type"]["family"], code) == ("unrecognized", 1)
+
 
 class TestBounds:
     def test_corner_n2(self, capsys):
@@ -218,6 +235,18 @@ class TestBadInput:
     def test_b_vector_of_wrong_length_exits_2(self, capsys, command, b):
         code, err = run_bad(capsys, command, "--family", "lower", "--n", "4", "--b", b)
         assert code == 2 and "b-vector length must be n - 1" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["exp", "--kind", "lower", "--n", "2", "--r", "1"], "doubling b-vector requires n >= 3"),
+        (["scan", "--n", "2", "--t", "5", "--r", "3"], "doubling b-vector requires n >= 3"),
+        (["bounds", "--family", "lower", "--n", "2"], "doubling b-vector requires n >= 3"),
+        (["exp", "--kind", "lower", "--n", "4", "--r", "1", "--b", "1,2"],
+         "b-vector length must be n - 1"),
+    ], ids=["exp-default", "scan-default", "bounds-default", "wrong-length"])
+    def test_b_vector_error_names_the_flag(self, capsys, argv, message):
+        """Also when --b was not typed: the default it names is the flag's."""
+        code, err = run_bad(capsys, *argv)
+        assert code == 2 and err == f"liegen: error: --b: {message}\n"
 
     def test_certify_checks_the_parameters_before_any_bound(self, capsys, monkeypatch):
         def no_bound(*args, **kwargs):
@@ -350,6 +379,20 @@ class TestBadInput:
         code, err = run_bad(capsys, "scan", "--n", "2", "--t", "1", "--s", "1",
                             "--max-syll", "30", "--max-exp", "1")
         assert code == 2 and "work cap" in err
+
+    @pytest.mark.parametrize("limits, message", [
+        (["--max-syll", "30", "--max-exp", "1"], "exceeds the work cap"),
+        (["--max-syll", "0"], "max_syllables and max_exponent must be positive"),
+    ], ids=["work-cap", "positivity"])
+    def test_scan_limits_are_checked_before_any_work(self, capsys, monkeypatch,
+                                                      limits, message):
+        def no_work(*args):
+            raise AssertionError("a generator exponentiated for a refused scan")
+
+        for name in ("exp_upper", "exp_corner", "exp_lower"):
+            monkeypatch.setattr(groups, name, no_work)
+        code, err = run_bad(capsys, "scan", "--n", "2", "--t", "1", "--s", "1", *limits)
+        assert code == 2 and message in err
 
     def test_scan_with_more_identity_words_than_the_cap_exits_2(self, capsys, monkeypatch):
         """s = 0 makes b(s) the identity: 12 half-words, 22 identity words."""

@@ -19,7 +19,7 @@ from liegen.exact import (
 from liegen.generators import G2_LOWER_B, doubling_bvector
 from liegen.pingpong import r_inequalities, t_inequality
 
-from paper_oracles import det
+from paper_oracles import det, flat
 
 
 def rand_matrix(rng, n, lo=-9, hi=9):
@@ -90,26 +90,28 @@ class TestBracket:
 class TestSpanBasis:
     def test_idempotent(self):
         sb = SpanBasis(3)
-        assert sb.insert(Matrix.unit(3, 1, 2))
-        assert not sb.insert(Matrix.unit(3, 1, 2))
+        assert sb.insert_flat(flat(Matrix.unit(3, 1, 2)))
+        assert not sb.insert_flat(flat(Matrix.unit(3, 1, 2)))
         assert sb.rank == 1
 
     def test_independence(self):
         sb = SpanBasis(3)
-        sb.insert(Matrix.unit(3, 1, 2))
-        assert sb.insert(Matrix.unit(3, 1, 2) + Matrix.unit(3, 2, 1))
+        sb.insert_flat(flat(Matrix.unit(3, 1, 2)))
+        assert sb.insert_flat(flat(Matrix.unit(3, 1, 2) + Matrix.unit(3, 2, 1)))
         assert sb.rank == 2
 
     def test_full_gl3(self):
         sb = SpanBasis(3)
         for i in range(1, 4):
             for j in range(1, 4):
-                sb.insert(Matrix.unit(3, i, j))
+                sb.insert_flat(flat(Matrix.unit(3, i, j)))
         assert sb.rank == 9
 
     def test_zero_matrix_not_inserted(self):
         sb = SpanBasis(2)
-        assert not sb.insert(Matrix.zero(2))
+        assert not sb.insert_flat(flat(Matrix([[0, 0], [0, 0]])))
+        assert not sb.insert_flat({0: 0, 3: 0})
+        assert sb.rank == 0
 
     def test_rank_order_independent(self):
         rng = random.Random(3)
@@ -120,36 +122,43 @@ class TestSpanBasis:
             random.Random(seed).shuffle(shuffled)
             sb = SpanBasis(3)
             for m in shuffled:
-                sb.insert(m)
+                sb.insert_flat(flat(m))
             ranks.append(sb.rank)
         assert ranks[0] == ranks[1]
 
-    def test_contains_and_reduce(self):
+    def test_membership_through_insert_flat(self):
+        """A matrix lies in the span exactly when inserting it leaves the rank."""
         sb = SpanBasis(2)
-        sb.insert(Matrix.unit(2, 1, 1))
-        sb.insert(Matrix.unit(2, 2, 2))
-        assert sb.contains(Matrix.identity(2))
-        assert not sb.contains(Matrix.unit(2, 1, 2))
+        sb.insert_flat(flat(Matrix.unit(2, 1, 1)))
+        sb.insert_flat(flat(Matrix.unit(2, 2, 2)))
+        assert not sb.insert_flat(flat(Fraction(1, 3) * Matrix.identity(2)))
+        assert sb.rank == 2
+        assert sb.insert_flat(flat(Matrix.unit(2, 1, 2)))
+        assert sb.rank == 3
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            SpanBasis(2).insert(Matrix.identity(3))
+            SpanBasis(2).insert_flat(flat(Matrix.identity(3)))
 
     @pytest.mark.parametrize("bad", [
-        lambda sb: sb.insert(Matrix.identity(1)),
-        lambda sb: sb.reduce(Matrix.identity(1)),
+        lambda sb: sb.insert_flat({4: 0}),
+        lambda sb: sb.insert_flat({3: 1, 9: 2}),
         lambda sb: sb.insert_flat({0: 1, 4: 1}),
         lambda sb: sb.insert_flat({4: 1}),
         lambda sb: sb.insert_flat({-1: 1}),
     ])
     def test_wrong_size_rejected(self, bad):
-        with pytest.raises(ValueError):
-            bad(SpanBasis(2))
+        """Refused before any row changes, a zero entry out of range too."""
+        sb = SpanBasis(2)
+        sb.insert_flat({0: 1})
+        with pytest.raises(ValueError, match="index out of range for n=2"):
+            bad(sb)
+        assert [m.rows for m in sb.matrices()] == [((1, 0), (0, 0))]
 
     def test_matrices_roundtrip(self):
         sb = SpanBasis(2)
         m = Matrix([[1, 2], [3, 4]])
-        sb.insert(m)
+        sb.insert_flat(flat(m))
         (back,) = sb.matrices()
         # primitive rescaling only: same line through the origin
         assert back == m
