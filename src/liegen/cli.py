@@ -38,11 +38,11 @@ from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
 
 def read_number(text: str, source: str) -> Fraction:
     """text, read from ``source`` (a flag or a file path), as an exact number;
-    ValueError naming the source for a zero denominator, or when its numerator
-    or denominator has more digits than Python's int/str limit (Python >= 3.10.7;
-    0 lifts it).  The digits before a decimal exponent are read under that limit,
-    so a nonzero number whose exponent passes twice the limit is refused
-    before it is built."""
+    ValueError naming the source for text that is no number, a zero denominator,
+    or a numerator or denominator with more digits than Python's int/str limit
+    (Python >= 3.10.7; 0 lifts it).  The digits before a decimal exponent are
+    read under that limit, so a nonzero number whose exponent passes twice the
+    limit is refused before it is built."""
     limit = sys.get_int_max_str_digits()
     try:
         exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
@@ -55,9 +55,9 @@ def read_number(text: str, source: str) -> Fraction:
             return x
     except ZeroDivisionError:  # Python's own message is "Fraction(1, 0)"
         raise ValueError(f"{source}: division by zero") from None
-    except ValueError as exc:  # Python's own message advises lifting the limit
+    except ValueError as exc:  # no number, or Python's advice to lift the digit limit
         if not str(exc).startswith("Exceeds the limit"):
-            raise
+            raise ValueError(f"{source}: {exc}") from None
     raise ValueError(f"{source}: Exceeds the limit ({limit} digits) for a numerator or denominator")
 
 

@@ -16,7 +16,7 @@ Scalar = int | Fraction
 
 #: Default width of certified root brackets.
 DEFAULT_WIDTH = Fraction(1, 2**40)
-#: Finest width accepted: each halving costs one more sign test of each live polynomial.
+#: Finest width accepted: each joint halving costs one sign test of each live polynomial.
 MIN_WIDTH = Fraction(1, 2**256)
 
 
@@ -238,6 +238,9 @@ class Polynomial:
     def __call__(self, x: Scalar) -> Fraction:
         # p(a/b) = sum_i _ints[i] a^i b^(d-i) / (_den b^d): one Fraction at the end
         a, b = x.numerator, x.denominator
+        if b & (b - 1) == 0 and self._ints:  # b = 2^s: the sign tests' sum, by shifts
+            s = b.bit_length() - 1
+            return Fraction(_scaled_value(self._ints, a, s), self._den << s * self.degree)
         acc, scale = 0, 1
         for c in reversed(self._ints):
             acc, scale = acc * a + c * scale, scale * b
@@ -299,8 +302,9 @@ def isolate_largest_positive_root(
     [0, 2^e] into dyadic brackets [j, j+1] * 2^(e-k) (Collins & Akritas, 1976)
     serves them all: a midpoint lies below the largest root when some live p is
     <= 0 there, and then each live p > 0 there drops out.  So p(lo) <= 0 < p(hi)
-    for the p of the largest root, in the bracket that p alone would give.  Each
-    sign is one integer sum with shifts over the cleared coefficients.
+    for the p of the largest root, in the bracket that p alone would give.  Once
+    one p is live, ``_refine`` takes its bracket to the final level in far fewer
+    steps.  Each sign is one integer sum with shifts over the cleared coefficients.
     """
     if width <= 0:
         raise ValueError("root bracket width must be positive")
@@ -325,13 +329,48 @@ def isolate_largest_positive_root(
                 for ints in live for i, c in enumerate(ints[:-1]) if c)
 
     # level k splits [0, 2^e] into brackets [j, j+1] * 2^(e-k); the midpoint of
-    # bracket j is (2j+1) * 2^(e-k-1).  Stop once 2^(e-k) <= width = num/den.
+    # bracket j is (2j+1) * 2^(e-k-1).  Stop at the first level with 2^(e-k) <= width.
     num, den = width.numerator, width.denominator
+    f = num.bit_length() - den.bit_length()  # floor(log2 width) is f or f - 1
+    last = max(0, e - f + (num << max(0, -f) < den << max(0, f)))
     j = k = 0
-    while den << max(0, e - k) > num << max(0, k - e):
+    while k < last and len(live) > 1:
         j, k = 2 * j, k + 1
         below = [ints for ints in live if _scaled_value(ints, j + 1, k - e) <= 0]
         if below:
             j, live = j + 1, below
+    if k < last:
+        j, k = _refine(live[0], j, k, e, last)
     step = Fraction(2) ** (e - k)
     return RootBracket(lo=j * step, hi=(j + 1) * step)
+
+
+def _refine(ints: Sequence[int], j: int, k: int, e: int, last: int) -> tuple[int, int]:
+    """p's bracket [j, j+1] * 2^(e-k), p(lo) <= 0 < p(hi), refined to level
+    ``last`` on the same grid by quadratic interval refinement (Abbott, 2012):
+    split it into the 2^s brackets of level k + s, test the grid point nearest
+    the secant's root and its neighbour on the root's side, and double s on
+    success, halve it on failure.  At s = 1 that is one bisection step, which
+    always succeeds.  p has one positive root, so only one level-``last``
+    bracket has p(lo) <= 0 < p(hi): the one bisection gives."""
+    d = len(ints) - 1
+    lo, hi = _scaled_value(ints, j, k - e), _scaled_value(ints, j + 1, k - e)
+    s = 1
+    while k < last:
+        s = min(s, last - k)
+        n, level = 1 << s, k + s
+        # values at a level are 2^(d * max(0, level - e)) * p: the ends carry over by a shift
+        shift = d * (max(0, level - e) - max(0, k - e))
+        low, high, base = lo << shift, hi << shift, j << s
+        # the inner grid point nearest the secant's root, -low / (high - low) of the way up
+        m = min(max((2 * n * -low + high - low) // (2 * (high - low)), 1), n - 1)
+        v = _scaled_value(ints, base + m, level - e)
+        if v <= 0:  # the root is at or above m: test m + 1
+            a, va, vb = m, v, high if m + 1 == n else _scaled_value(ints, base + m + 1, level - e)
+        else:  # the root is below m: test m - 1
+            a, va, vb = m - 1, low if m == 1 else _scaled_value(ints, base + m - 1, level - e), v
+        if va <= 0 < vb:
+            j, k, lo, hi, s = base + a, level, va, vb, 2 * s
+        else:
+            s //= 2
+    return j, k

@@ -524,6 +524,25 @@ class TestDivisionByZero:
         code, err = run_bad(capsys, "closure", str(f))
         assert code == 2 and f"liegen: error: {f}: division by zero" in err
 
+
+class TestNotANumber:
+    """Text that is no number is refused with the flag or file that holds it."""
+
+    @pytest.mark.parametrize("args, source", [
+        (("exp", "--kind", "upper", "--n", "3", "--t", "x"), "--t"),
+        (("classify", "--family", "lower", "--n", "3", "--b", "1,x"), "--b"),
+        (("bounds", "--family", "corner", "--n", "4", "--width", "xe9999"), "--width"),
+    ], ids=["t", "b-entry", "exponent"])
+    def test_flag_exits_2(self, capsys, args, source):
+        code, err = run_bad(capsys, *args)
+        assert code == 2 and err.startswith(f"liegen: error: {source}: Invalid literal")
+
+    def test_matrix_file_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "f.json"
+        f.write_text('{"rows": 1, "cols": 1, "entries": [["x"]]}')
+        code, err = run_bad(capsys, "closure", str(f))
+        assert code == 2 and err == f"liegen: error: {f}: Invalid literal for Fraction: 'x'\n"
+
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     """The parser keeps the ``cmd_*`` functions it was built with, so the
     fault goes into what ``cmd_gen`` calls."""

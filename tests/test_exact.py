@@ -176,9 +176,11 @@ class TestPolynomial:
 
     def test_call_matches_fraction_horner(self):
         # p(x) in one integer sum and one Fraction: the value that Fraction
-        # Horner steps give, at integers, 0, negative points and rationals
+        # Horner steps give, at integers, 0, negative points and rationals,
+        # dyadic ones (summed with shifts) among them
         rng = random.Random(17)
-        points = [0, 1, -1, 2, Fraction(-7, 3), Fraction(1, 1024), Fraction(10**30, -7)]
+        points = [0, 1, -1, 2, Fraction(-7, 3), Fraction(1, 1024), Fraction(10**30, -7),
+                  Fraction(-5, 8), Fraction(2049, 1024), Fraction(3, 2**300)]
         points += [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(40)]
         polys = [Polynomial([]), Polynomial([0]), Polynomial([5]), Polynomial([Fraction(-2, 3)]),
                  Polynomial([0, 0, 1]), t_inequality(12)]
@@ -450,17 +452,74 @@ class TestDyadicBrackets:
             assert p(top) > 0
             assert p(br.lo) <= 0 < p(br.hi)
 
-    def test_t_inequality_40_takes_48_sign_evaluations(self, monkeypatch):
-        calls = []
-        original = exact._scaled_value
-        monkeypatch.setattr(exact, "_scaled_value", lambda *a: calls.append(a) or original(*a))
-        isolate_largest_positive_root([t_inequality(40)])
-        assert len(calls) == 48
+    def test_t_inequality_40_takes_28_sign_evaluations(self, monkeypatch):
+        # 48 when one bisection took the bracket down to the width
+        assert sign_evaluations(monkeypatch, [t_inequality(40)]) == 28
 
-    def test_g2_r0_takes_50_sign_evaluations(self, monkeypatch):
-        # 265 when each of the six polynomials was bisected alone
-        calls = []
-        original = exact._scaled_value
-        monkeypatch.setattr(exact, "_scaled_value", lambda *a: calls.append(a) or original(*a))
-        isolate_largest_positive_root(r_inequalities(7, G2_LOWER_B))
-        assert len(calls) == 50
+    def test_g2_r0_takes_21_sign_evaluations(self, monkeypatch):
+        # 265 when each of the six polynomials was bisected alone, 50 by one
+        # bisection for all six
+        assert sign_evaluations(monkeypatch, r_inequalities(7, G2_LOWER_B)) == 21
+
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_t_inequality_at_the_finest_width_takes_33_sign_evaluations(self, monkeypatch, n):
+        # bisection takes e + 256: 264 for n = 40 and 266 for n = 200
+        polys = [t_inequality(n)]
+        assert sign_evaluations(monkeypatch, polys, MIN_WIDTH) == 33
+
+
+def sign_evaluations(monkeypatch, polys, width=DEFAULT_WIDTH):
+    """The number of integer sign tests one isolation makes."""
+    calls = []
+    original = exact._scaled_value
+    monkeypatch.setattr(exact, "_scaled_value", lambda *a: calls.append(a) or original(*a))
+    isolate_largest_positive_root(polys, width)
+    return len(calls)
+
+
+class TestRefinementGivesTheBisectionBracket:
+    """Once one polynomial is live, quadratic interval refinement takes its
+    bracket to the final level on the same dyadic grid, so the bracket must
+    equal the one bisecting each polynomial alone gives."""
+
+    def check(self, polys, width):
+        got = isolate_largest_positive_root(polys, width)
+        assert got == per_polynomial_bracket(polys, width), (polys, width)
+        return got
+
+    @pytest.mark.parametrize("log_width", [10, 40, 256])
+    def test_root_on_the_final_grid(self, log_width):
+        """p(lo) = 0: the root is the bracket's lower end, for a line (whose
+        secant lands on the root) and for x^5 - root^5."""
+        width = Fraction(1, 2**log_width)
+        for root in (Fraction(5, 4), Fraction(3, 1024), Fraction(1, 2), Fraction(7)):
+            for p in (Polynomial([-root, 1]), Polynomial([-root**5, 0, 0, 0, 0, 1])):
+                assert self.check([p], width).lo == root
+
+    def test_width_at_least_the_root_bound(self):
+        """2^e <= width: nothing to refine, the bracket is [0, 2^e]."""
+        for p in (t_inequality(5), t_inequality(40), Polynomial([-1, 10**6])):
+            top = Fraction(2) ** fujiwara_exponent(p)
+            for width in (top, top + 1, 2 * top):
+                assert self.check([p], width) == (0, top)
+
+    @pytest.mark.parametrize("log_width", [1, 40, 256])
+    def test_root_bound_below_one(self, log_width):
+        width = Fraction(1, 2**log_width)
+        for p in (Polynomial([-1, 10**6]), Polynomial([-3, 0, 7 * 10**12]),
+                  Polynomial([-1, -5, 0, 10**30])):
+            assert fujiwara_exponent(p) < 0
+            self.check([p], width)
+
+    @pytest.mark.parametrize("log_width", [40, 100, 101, 102, 256])
+    def test_roots_alike_in_their_leading_100_bits(self, log_width):
+        """sqrt(2) and sqrt(2 + 2^-100) differ by about 2^-101.5, so one
+        bisection keeps both live for about 100 levels."""
+        width = Fraction(1, 2**log_width)
+        near = [Polynomial([-2, 0, 1]), Polynomial([-2 - Fraction(1, 2**100), 0, 1])]
+        line = [Polynomial([-Fraction(2**101 + 1, 2**101), 1]), Polynomial([-1, 1])]
+        for polys in (near, near[::-1], line, line + near):
+            self.check(polys, width)
+
+    def test_t_inequality_200_at_the_finest_width(self):
+        self.check([t_inequality(200)], MIN_WIDTH)
