@@ -238,9 +238,6 @@ class Polynomial:
     def __call__(self, x: Scalar) -> Fraction:
         # p(a/b) = sum_i _ints[i] a^i b^(d-i) / (_den b^d): one Fraction at the end
         a, b = x.numerator, x.denominator
-        if b & (b - 1) == 0 and self._ints:  # b = 2^s: the sign tests' sum, by shifts
-            s = b.bit_length() - 1
-            return Fraction(_scaled_value(self._ints, a, s), self._den << s * self.degree)
         acc, scale = 0, 1
         for c in reversed(self._ints):
             acc, scale = acc * a + c * scale, scale * b
