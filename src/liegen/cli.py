@@ -6,8 +6,9 @@ auxiliary "approx" fields.  Exit codes: 0 success / certified / clean scan,
 failed write to stdout, 141 closed stdout.  ``main`` may be called repeatedly
 in one process; every call parses with the one parser that ``build_parser``
 builds on first use.  ``read_inputs`` then reads and checks every flag and
-file, and the ``cmd_*`` functions only compute and emit, with Python's
-int/str digit limit lifted while they run.
+file.  The ``cmd_*`` functions only compute, each returning its document and
+exit code; ``main`` prints the document.  Python's int/str digit limit is lifted
+while they compute and ``main`` prints.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .generators import FAMILIES, build_pair, bvector, doubling_bvector
 from .closure import classify, subalgebra_closure
 from .pingpong import (
     CONCLUSION_FREE_DENSE,
-    Certificate,
     PingPongBound,
     certify_free_dense,
     compute_t0,
@@ -135,11 +135,6 @@ def _add_second_bound(doc: dict, bound: PingPongBound | None) -> None:
         doc["r"] = _bound_doc(bound)
 
 
-def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 def read_inputs(args: argparse.Namespace) -> None:
     """Check every input in place, before any work: refuse a flag the invocation
     does not read, require --n and the ``exp`` kind's parameter, and make --t,
@@ -189,7 +184,7 @@ def read_inputs(args: argparse.Namespace) -> None:
             raise ValueError(f"--b: {exc}") from None
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> tuple[dict, int]:
     pair = build_pair(args.family, args.n, args.b)
     doc = {
         "family": pair.family,
@@ -199,11 +194,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     }
     if pair.b is not None:
         doc["b"] = [str(x) for x in pair.b]
-    _emit(doc)
-    return 0
+    return doc, 0
 
 
-def cmd_gen_or_closure_report(seed: Sequence[Matrix], n: int) -> tuple[dict, int]:
+def _closure_doc(seed: Sequence[Matrix], n: int) -> tuple[dict, int]:
     result = subalgebra_closure(list(seed))
     label = classify(n, result.dim)
     doc = {
@@ -214,45 +208,41 @@ def cmd_gen_or_closure_report(seed: Sequence[Matrix], n: int) -> tuple[dict, int
     return doc, (0 if label.family != "unrecognized" else 1)
 
 
-def cmd_closure(args: argparse.Namespace) -> int:
-    doc, code = cmd_gen_or_closure_report(args.matrices, args.matrices[0].n)
-    _emit(doc)
-    return code
+def cmd_closure(args: argparse.Namespace) -> tuple[dict, int]:
+    return _closure_doc(args.matrices, args.matrices[0].n)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     pair = build_pair(args.family, args.n, args.b)
-    doc, code = cmd_gen_or_closure_report([pair.first, pair.second], pair.n)
+    doc, code = _closure_doc([pair.first, pair.second], pair.n)
     doc.update(family=pair.family, n=pair.n)
-    _emit(doc)
-    return code
+    return doc, code
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
     doc: dict = {"width": str(args.width), "family": args.family, "n": args.n}
     if args.b is not None:
         doc["b"] = [str(x) for x in args.b]
     doc["t"] = _bound_doc(compute_t0(args.n, args.width))
     _add_second_bound(doc, second_bound(args.family, args.n, args.b, args.width))
-    _emit(doc)
-    return 0
+    return doc, 0
 
 
-def cmd_exp(args: argparse.Namespace) -> int:
+def cmd_exp(args: argparse.Namespace) -> tuple[dict, int]:
     g = (exp_upper(args.t, args.n) if args.kind == "upper" else
          exp_corner(args.s, args.n) if args.kind == "corner" else exp_lower(args.r, args.b))
-    _emit({"kind": args.kind, "n": args.n, "matrix": matrix_to_doc(g)})
-    return 0
+    return {"kind": args.kind, "n": args.n, "matrix": matrix_to_doc(g)}, 0
 
 
-def certificate_to_doc(cert: Certificate, width: Fraction) -> dict:
+def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
+    cert = certify_free_dense(args.n, args.family, args.t, args.s, args.r, args.b, args.width)
     doc = {
         "tool_version": __version__,
         "input": {
             "family": cert.family,
             "n": cert.n,
             "parameters": _params_doc(cert.parameters),
-            "width": str(width),
+            "width": str(args.width),
         },
         "generators": {
             "first": matrix_to_doc(cert.pair.first),
@@ -269,16 +259,10 @@ def certificate_to_doc(cert: Certificate, width: Fraction) -> dict:
         "conclusion": cert.conclusion,
     }
     _add_second_bound(doc["bounds"], cert.second_bound)
-    return doc
+    return doc, (0 if cert.conclusion == CONCLUSION_FREE_DENSE else 1)
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    cert = certify_free_dense(args.n, args.family, args.t, args.s, args.r, args.b, args.width)
-    _emit(certificate_to_doc(cert, args.width))
-    return 0 if cert.conclusion == CONCLUSION_FREE_DENSE else 1
-
-
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> tuple[dict, int]:
     report = freeness_scan(args.n, args.t, args.s, args.r, args.b, args.max_syll, args.max_exp)
     doc = {
         "n": report.n,
@@ -288,11 +272,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "words_checked": report.words_checked,
         "collisions": [list(w.syllables) for w in report.collisions],
     }
-    _emit(doc)
-    return 0 if report.clean else 1
+    return doc, (0 if report.clean else 1)
 
 
-def cmd_thin(args: argparse.Namespace) -> int:
+def cmd_thin(args: argparse.Namespace) -> tuple[dict, int]:
     pair = thin_pair(args.n, args.q, args.s)
     doc = {
         "n": pair.n,
@@ -304,8 +287,7 @@ def cmd_thin(args: argparse.Namespace) -> int:
         "certified": pair.certified,
         "warning": pair.warning,
     }
-    _emit(doc)
-    return 0 if pair.certified else 1
+    return doc, (0 if pair.certified else 1)
 
 
 @functools.cache
@@ -404,7 +386,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # inputs were read under it; exact output may pass it
         try:
-            return args.func(args)
+            doc, code = args.func(args)
+            json.dump(doc, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+            return code
         finally:
             sys.set_int_max_str_digits(limit)
     except OSError:  # a failed write to stdout, which ``run`` reports: not bad input

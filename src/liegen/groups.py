@@ -137,18 +137,18 @@ def freeness_scan(
         else exp_lower(e * params["r"], params["b"]) for e in exponents
     }
 
-    # (length, product) -> the reduced words of that length with that product
+    # (length, product) -> the reduced words of that length with that product;
+    # level h extends each entry of level h - 1 by each syllable, with one
+    # product for all of the entry's words that end in the other generator
     table: dict[tuple[int, Matrix], list[tuple]] = {(0, Matrix.identity(n)): [()]}
-    level: list[tuple[tuple, Matrix]] = [((), Matrix.identity(n))]
     for h in range(1, half + 1):
-        longer = []
-        for word, prod in level:
+        for (k, prod), words in list(table.items()):
+            if k != h - 1:
+                continue
             for syl, m in syllable_mats.items():
-                if not word or syl[0] != word[-1][0]:
-                    w, p = word + (syl,), prod * m
-                    longer.append((w, p))
-                    table.setdefault((h, p), []).append(w)
-        level = longer
+                longer = [w + (syl,) for w in words if not w or w[-1][0] != syl[0]]
+                if longer:
+                    table.setdefault((h, prod * m), []).extend(longer)
 
     hits = []
     for (h, prod), heads in table.items():

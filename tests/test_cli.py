@@ -106,11 +106,13 @@ class TestClassifyAndClosure:
     @pytest.mark.parametrize("n, units", [
         (4, [(i, j) for i in range(1, 5) for j in range(i, 5)]),
         (3, [(1, 2), (2, 3)]),
-    ], ids=["borel-gl4", "heisenberg-gl3"])
+        (2, [(1, 1), (1, 2), (2, 2)]),
+    ], ids=["borel-gl4", "heisenberg-gl3", "borel-gl2"])
     def test_solvable_closure_is_unrecognized(self, capsys, tmp_path, n, units):
         """The upper-triangular units of gl(4) span the Borel subalgebra, of
         dim sp(4) = 10; e12 and e23 close to the Heisenberg algebra, of
-        dim so(3) = 3.  Neither is simple, so neither may be named."""
+        dim so(3) = 3; e11, e12 and e22 span the Borel subalgebra of gl(2), of
+        dim sl(2) = 3.  None is simple, so none may be named."""
         files = []
         for i, j in units:
             f = tmp_path / f"e{i}{j}.json"
@@ -554,6 +556,33 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "liegen: internal error: AssertionError: pair check failed\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--family", "lower", "--n", "4", "--b", "doubling"),
+    ("closure", "{tmp}/e12.json", "{tmp}/e21.json"),
+    ("classify", "--family", "corner", "--n", "4"),
+    ("bounds", "--family", "g2"),
+    ("exp", "--kind", "lower", "--n", "4", "--r", "1/2", "--b", "3,-5,7"),
+    ("certify", "--family", "corner", "--n", "4", "--t", "3", "--s", "3"),
+    ("scan", "--n", "2", "--t", "1", "--s", "1", "--max-syll", "6"),
+    ("thin", "--n", "3", "--q", "3", "--s", "3"),
+], ids=lambda argv: argv[0])
+def test_a_command_returns_the_document_that_main_prints(capsys, tmp_path, argv):
+    """A ``cmd_*`` function prints nothing and returns its document and exit
+    code; ``main`` prints that document as indented JSON and returns the code."""
+    for i, j in ((1, 2), (2, 1)):
+        (tmp_path / f"e{i}{j}.json").write_text(json.dumps(matrix_to_doc(Matrix.unit(2, i, j))))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    args = cli.build_parser().parse_args(argv)
+    cli.read_inputs(args)
+    result = args.func(args)
+    assert capsys.readouterr().out == ""
+    assert isinstance(result, tuple) and len(result) == 2
+    doc, code = result
+    assert type(doc) is dict and type(code) is int
+    assert main(argv) == code
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def src_env() -> dict:
