@@ -215,12 +215,13 @@ class SpanBasis:
 
 
 class Polynomial:
-    """Univariate polynomial with exact rational coefficients, ascending degree."""
+    """Univariate polynomial with exact rational coefficients, ascending degree;
+    an ``int`` coefficient stays an ``int``, equal to and hashing like its Fraction."""
 
     __slots__ = ("coefficients", "_den", "_ints")  # _den * p has integer coefficients _ints
 
     def __init__(self, coefficients: Iterable[Scalar]):
-        cs = [_rat(c) for c in coefficients]
+        cs = [c if type(c) is int else _rat(c) for c in coefficients]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coefficients = tuple(cs)
@@ -253,10 +254,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coefficients]})"
-
-    def cleared(self) -> "Polynomial":
-        """Scaled by the lcm of coefficient denominators: integer coefficients."""
-        return Polynomial(self._ints)
 
     def integer_coefficients(self) -> tuple[int, ...]:
         return self._ints

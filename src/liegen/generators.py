@@ -123,13 +123,14 @@ def lower_bidiagonal(b: Sequence[Fraction]) -> Matrix:
     return Matrix.from_units(n, [(i + 1, i, b[i - 1]) for i in range(1, n)])
 
 
-def lower_coefficients(b: Sequence[Fraction]) -> list[list[Fraction]]:
+def lower_coefficients(b: Sequence[Scalar]) -> list[list[Scalar]]:
     """c with c[j][d] = c_{d,j} = b_{j-1} b_{j-2} ... b_{j-d} (1 for d = 0), the
     (j, j - d) entry of z^d for z = lower_bidiagonal(b), for 0 <= d < j <= n; c[0]
-    is empty.  Row j is 1, then b_{j-1} times row j - 1: O(n^2) products in all."""
-    c = [[], [Fraction(1)]]
+    is empty.  Row j is 1, then b_{j-1} times row j - 1: O(n^2) products in all,
+    in the type of the b_i (ints stay ints)."""
+    c = [[], [1]]
     for x in b:
-        c.append([Fraction(1)] + [x * y for y in c[-1]])
+        c.append([1] + [x * y for y in c[-1]])
     return c
 
 

@@ -48,14 +48,28 @@ def r_inequalities(n: int, b: Sequence[Scalar]) -> list[Polynomial]:
             - sum_{i=1}^j |c_{j-i,j}| R^{j-i}/(j-i)!
 
     stored with denominators cleared (integer coefficients, matching the
-    displayed paper forms: no further division by the content).
+    displayed paper forms: no further division by the content).  The |c_{d,j}|
+    are products of the |b_i|, in ints where those are integers; each
+    coefficient x/d! is put in lowest terms by one gcd with d!, and the lcm of
+    a polynomial's reduced denominators scales it to integers.
     """
-    c = lower_coefficients(bvector(b, n))
-    inv = [Fraction(1, math.factorial(d)) for d in range(n)]
-    lhs = [-abs(x) * f for x, f in zip(c[n], inv)]
-    lhs[n - 1] = -lhs[n - 1]
-    return [Polynomial([x - abs(y) * f for x, y, f in zip(lhs, c[j], inv)] + lhs[j:]).cleared()
-            for j in range(1, n)]
+    c = lower_coefficients([abs(x.numerator) if x.denominator == 1 else abs(x)
+                            for x in bvector(b, n)])
+    fact = [math.factorial(d) for d in range(n)]
+
+    def over(x: Scalar, f: int) -> tuple[int, int]:
+        # x/f in lowest terms, as (numerator, denominator)
+        g = math.gcd(x.numerator, f)
+        return x.numerator // g, x.denominator * (f // g)
+
+    lhs = [over(-x, f) for x, f in zip(c[n], fact)]
+    lhs[n - 1] = over(c[n][n - 1], fact[n - 1])
+    polys = []
+    for j in range(1, n):
+        cs = [over(-x - y, f) for x, y, f in zip(c[n], c[j], fact)] + lhs[j:]
+        den = math.lcm(*(q for _, q in cs))
+        polys.append(Polynomial([p * (den // q) for p, q in cs]))
+    return polys
 
 
 class PingPongBound(namedtuple("PingPongBound", "kind polys bracket safe_value")):

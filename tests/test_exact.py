@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liegen import exact
+from liegen import cli, exact
 from liegen.exact import (
     DEFAULT_WIDTH,
     MIN_WIDTH,
@@ -194,10 +194,22 @@ class TestPolynomial:
                 assert type(got) is Fraction, (p, x)
                 assert got == fraction_horner(p.coefficients, x), (p, x)
 
-    def test_cleared(self):
+    def test_integer_coefficients(self):
         p = Polynomial([Fraction(-1, 3), Fraction(1, 6)])
-        assert p.cleared().coefficients == (Fraction(-2), Fraction(1))
         assert p.integer_coefficients() == (-2, 1)
+
+    def test_int_coefficients_stay_ints(self):
+        # an int coefficient stays an int, and the polynomial is the one its
+        # Fraction coefficients give: equal, same hash, degree, document and values
+        ints = Polynomial([-2, 0, 3, 0])
+        fracs = Polynomial([Fraction(-2), Fraction(0), Fraction(3)])
+        assert all(type(c) is int for c in ints.coefficients)
+        assert ints == fracs and hash(ints) == hash(fracs)
+        assert ints.degree == fracs.degree == 2
+        assert cli._poly_doc(ints) == cli._poly_doc(fracs)
+        for x in (0, Fraction(1, 3), Fraction(-7, 2)):
+            assert ints(x) == fracs(x)
+            assert type(ints(x)) is Fraction
 
 
 class TestRootIsolation:

@@ -14,6 +14,7 @@ from liegen.generators import (
     bvector,
     doubling_bvector,
     g2_pair,
+    lower_coefficients,
     lower_pair,
     prop2_criterion,
     shift_pair,
@@ -72,6 +73,17 @@ class TestLowerPair:
     def test_zero_entry_rejected(self):
         with pytest.raises(ValueError):
             lower_pair((1, 0, 1))
+
+
+class TestLowerCoefficients:
+    def test_ints_stay_ints(self):
+        # the type it is given: ints give only ints, equal to the Fraction table
+        rng = random.Random(23)
+        for n in range(2, 12):
+            b = [rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(n - 1)]
+            c = lower_coefficients(b)
+            assert all(type(x) is int for row in c for x in row)
+            assert c == lower_coefficients([Fraction(x) for x in b])
 
 
 class TestBVector:

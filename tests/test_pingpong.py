@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,27 @@ from liegen.pingpong import (
 from paper_oracles import X1, X2, in_region, pingpong_spotcheck
 
 
+def fraction_r_inequalities(n, b):
+    """The r-polynomials with every step in ``Fraction``: the table of
+    c_{d,j}, each |c_{d,j}| times 1/d!, and the integers that ``Polynomial``
+    clears the sums to, as ``Fraction`` coefficients."""
+    c = [[], [Fraction(1)]]
+    for x in b:
+        c.append([Fraction(1)] + [Fraction(x) * y for y in c[-1]])
+    inv = [Fraction(1, math.factorial(d)) for d in range(n)]
+    lhs = [-abs(x) * f for x, f in zip(c[n], inv)]
+    lhs[n - 1] = -lhs[n - 1]
+    polys = [Polynomial([x - abs(y) * f for x, y, f in zip(lhs, c[j], inv)] + lhs[j:])
+             for j in range(1, n)]
+    return [Polynomial([Fraction(x) for x in p.integer_coefficients()]) for p in polys]
+
+
+def assert_same_polys(got, want):
+    assert [[str(x) for x in p.coefficients] for p in got] == \
+        [[str(x) for x in p.coefficients] for p in want]
+    assert [p.integer_coefficients() for p in got] == [p.integer_coefficients() for p in want]
+
+
 class TestInequalityPolynomials:
     def test_t_n2(self):
         assert t_inequality(2) == Polynomial([-2, 1])
@@ -56,6 +79,25 @@ class TestInequalityPolynomials:
         (p,) = r_inequalities(2, (3,))
         # |r| b1 - 1 > 1, i.e. 3R - 2 > 0
         assert p == Polynomial([-2, 3])
+
+    @pytest.mark.parametrize("kind", ["small_int", "small_rational", "long_rational"])
+    def test_r_matches_fraction_construction(self, kind):
+        rng = random.Random(f"r-{kind}")
+        draw = {
+            "small_int": lambda: rng.randint(1, 30),
+            "small_rational": lambda: Fraction(rng.randint(1, 60), rng.randint(1, 12)),
+            "long_rational": lambda: Fraction(rng.randint(1, 10**30), rng.randint(1, 10**20)),
+        }[kind]
+        for n in range(2, 15):
+            for _ in range(6):
+                b = [rng.choice((-1, 1)) * draw() for _ in range(n - 1)]
+                assert_same_polys(r_inequalities(n, b), fraction_r_inequalities(n, b))
+
+    def test_r_matches_fraction_construction_doubling_and_g2(self):
+        for n in range(3, 41):
+            b = doubling_bvector(n)
+            assert_same_polys(r_inequalities(n, b), fraction_r_inequalities(n, b))
+        assert_same_polys(r_inequalities(7, G2_LOWER_B), fraction_r_inequalities(7, G2_LOWER_B))
 
     def test_r_validation(self):
         with pytest.raises(ValueError):
