@@ -136,6 +136,10 @@ def freeness_scan(
         ("B", e): exp_corner(e * params["s"], n) if s is not None
         else exp_lower(e * params["r"], params["b"]) for e in exponents
     }
+    # each syllable as its columns' (row index, value) pairs of nonzero
+    # entries: every syllable is triangular, and b(s) has n + 1 nonzeros
+    syllable_cols = {syl: [[(i, x) for i, x in enumerate(col) if x] for col in zip(*m.rows)]
+                     for syl, m in syllable_mats.items()}
 
     # (length, product) -> the reduced words of that length with that product;
     # level h extends each entry of level h - 1 by each syllable, with one
@@ -145,10 +149,12 @@ def freeness_scan(
         for (k, prod), words in list(table.items()):
             if k != h - 1:
                 continue
-            for syl, m in syllable_mats.items():
+            for syl, cols in syllable_cols.items():
                 longer = [w + (syl,) for w in words if not w or w[-1][0] != syl[0]]
                 if longer:
-                    table.setdefault((h, prod * m), []).extend(longer)
+                    prod_m = Matrix([[sum(row[i] * x for i, x in col) for col in cols]
+                                     for row in prod.rows])
+                    table.setdefault((h, prod_m), []).extend(longer)
 
     hits = []
     for (h, prod), heads in table.items():

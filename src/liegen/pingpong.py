@@ -50,8 +50,9 @@ def r_inequalities(n: int, b: Sequence[Scalar]) -> list[Polynomial]:
     stored with denominators cleared (integer coefficients, matching the
     displayed paper forms: no further division by the content).  The |c_{d,j}|
     are products of the |b_i|, in ints where those are integers; each
-    coefficient x/d! is put in lowest terms by one gcd with d!, and the lcm of
-    a polynomial's reduced denominators scales it to integers.
+    coefficient x/d! is put in lowest terms by one divmod by d!, with a gcd
+    only where d! leaves a remainder, and the lcm of a polynomial's reduced
+    denominators scales it to integers.
     """
     c = lower_coefficients([abs(x.numerator) if x.denominator == 1 else abs(x)
                             for x in bvector(b, n)])
@@ -59,7 +60,10 @@ def r_inequalities(n: int, b: Sequence[Scalar]) -> list[Polynomial]:
 
     def over(x: Scalar, f: int) -> tuple[int, int]:
         # x/f in lowest terms, as (numerator, denominator)
-        g = math.gcd(x.numerator, f)
+        q, r = divmod(x.numerator, f)
+        if not r:
+            return q, x.denominator
+        g = math.gcd(r, f)
         return x.numerator // g, x.denominator * (f // g)
 
     lhs = [over(-x, f) for x, f in zip(c[n], fact)]

@@ -232,17 +232,21 @@ SMALL = [Fraction(p, q) for p in (1, 2, 3) for q in (1, 2)]
 
 
 def random_scan_case(rng):
-    """n, and the keyword arguments of a scan.  Half the n = 2 corner cases
-    have t s in {+-1, +-2}, where short reduced words hit the identity."""
+    """n, and the keyword arguments of a scan: a third are lower scans with a
+    rational b-vector, and a third of the n = 2 cases are corner scans with
+    t s in {+-1, +-2}, where short reduced words hit the identity.  At n = 4
+    the words have at most 4 syllables, so that the reference stays fast."""
     def small():
         return rng.choice(SMALL) * rng.choice((1, -1))
 
-    n = rng.choice((2, 3))
-    kwargs = {"t": small(), "max_syllables": rng.randint(1, 6), "max_exponent": rng.randint(1, 2)}
-    if n == 3 and rng.random() < 0.5:
+    n = rng.choice((2, 3, 4))
+    kwargs = {"t": small(), "max_syllables": rng.randint(1, 6 if n < 4 else 4),
+              "max_exponent": rng.randint(1, 2)}
+    kind = rng.random()
+    if kind < 1 / 3:
         kwargs["r"] = small()
         kwargs["b"] = tuple(small() for _ in range(n - 1))
-    elif n == 2 and rng.random() < 0.5:
+    elif n == 2 and kind < 2 / 3:
         kwargs["s"] = rng.choice((1, -1, 2, -2)) / kwargs["t"]
     else:
         kwargs["s"] = small()
@@ -266,6 +270,18 @@ class TestScanAgainstDepthFirst:
             n, kwargs = random_scan_case(random.Random(seed))
             counts.append(len(freeness_scan(n, **kwargs).collisions))
         assert sum(counts) >= 50 and sum(c > 1 for c in counts) >= 2
+
+    def test_cases_cover_every_size_and_generator(self):
+        """Corner scans and lower scans with a non-integer b-vector at each of
+        n = 2, 3 and 4, so the comparison above sees every syllable shape."""
+        seen = set()
+        for seed in range(48):
+            n, kwargs = random_scan_case(random.Random(seed))
+            if "s" in kwargs:
+                seen.add((n, "s"))
+            elif any(x.denominator > 1 for x in kwargs["b"]):
+                seen.add((n, "r"))
+        assert seen == {(n, g) for n in (2, 3, 4) for g in "rs"}
 
 
 class TestThinPair:
