@@ -136,9 +136,12 @@ def freeness_scan(
         ("B", e): exp_corner(e * params["s"], n) if s is not None
         else exp_lower(e * params["r"], params["b"]) for e in exponents
     }
-    # each syllable as its columns' (row index, value) pairs of nonzero
-    # entries: every syllable is triangular, and b(s) has n + 1 nonzeros
-    syllable_cols = {syl: [[(i, x) for i, x in enumerate(col) if x] for col in zip(*m.rows)]
+    # each syllable g as the columns of g - I, each the (row index, value)
+    # pairs of its nonzero entries, so that P g = P + P (g - I): every
+    # syllable is unipotent, b(s) - I has one nonzero entry, and a column
+    # of g - I with no pairs keeps P's entry itself rather than a new one
+    syllable_cols = {syl: [[(i, x - (i == j)) for i, x in enumerate(col) if x != (i == j)]
+                           for j, col in enumerate(zip(*m.rows))]
                      for syl, m in syllable_mats.items()}
 
     # (length, product) -> the reduced words of that length with that product;
@@ -152,8 +155,8 @@ def freeness_scan(
             for syl, cols in syllable_cols.items():
                 longer = [w + (syl,) for w in words if not w or w[-1][0] != syl[0]]
                 if longer:
-                    prod_m = Matrix([[sum(row[i] * x for i, x in col) for col in cols]
-                                     for row in prod.rows])
+                    prod_m = Matrix([[row[j] + sum(row[i] * x for i, x in col) if col else row[j]
+                                      for j, col in enumerate(cols)] for row in prod.rows])
                     table.setdefault((h, prod_m), []).extend(longer)
 
     hits = []

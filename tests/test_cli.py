@@ -1,9 +1,12 @@
+import contextlib
+import gc
 import json
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -629,3 +632,32 @@ def test_a_failed_write_to_stdout_exits_3_with_one_line(argv):
                               stderr=subprocess.PIPE, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 3
     assert proc.stderr == "liegen: error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_the_library_retains_nothing_between_calls():
+    """After one warm-up call per command, 50 more rounds of the same calls
+    leave less than 16 KB more traced memory: no cache or record survives a
+    call, so a process that serves many invocations does not grow."""
+    rounds = [
+        ("scan", "--n", "2", "--t", "1", "--s", "1", "--max-syll", "4", "--max-exp", "2"),
+        ("classify", "--family", "corner", "--n", "3"),
+        ("certify", "--family", "corner", "--n", "3", "--t", "8", "--s", "3"),
+        ("bounds", "--family", "corner", "--n", "3"),
+        ("thin", "--n", "3", "--q", "3", "--s", "3"),
+        ("exp", "--kind", "upper", "--n", "3", "--t", "1/2"),
+    ]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            for argv in rounds:
+                main(list(argv))
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(50):
+                for argv in rounds:
+                    main(list(argv))
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert growth < 16 * 1024, f"{growth} bytes retained over 50 rounds"

@@ -284,6 +284,24 @@ class TestScanAgainstDepthFirst:
         assert seen == {(n, g) for n in (2, 3, 4) for g in "rs"}
 
 
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("second", ["s", "r"])
+def test_wider_scans_match_depth_first(n, second):
+    """Corner and lower scans at n = 5 and 6, past the sizes the seeds above
+    draw, with rational parameters and a rational b-vector: words of up to 3
+    syllables with exponents up to 2 against dense products."""
+    kwargs = {"t": Fraction(3, 2), "max_syllables": 3, "max_exponent": 2}
+    if second == "s":
+        kwargs["s"] = Fraction(-1, 2)
+    else:
+        kwargs["r"] = Fraction(1, 2)
+        kwargs["b"] = tuple(SMALL[k % len(SMALL)] * (-1) ** k for k in range(1, n))
+    checked, hits = depth_first_scan(n, **kwargs)
+    rep = freeness_scan(n, **kwargs)
+    assert rep.words_checked == checked
+    assert rep.collisions == hits
+
+
 class TestThinPair:
     def test_integrality(self):
         tp = thin_pair(3, 2, 3)
