@@ -14,12 +14,13 @@ while they compute and ``main`` prints.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from . import __version__
@@ -28,21 +29,20 @@ from .generators import FAMILIES, build_pair, bvector, doubling_bvector
 from .closure import classify, subalgebra_closure
 from .pingpong import (
     CONCLUSION_FREE_DENSE,
+    S0,
     PingPongBound,
     certify_free_dense,
     compute_t0,
-    s0,
     second_bound,
 )
 from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
 
-def read_number(text: str, source: str) -> Fraction:
-    """text, read from ``source`` (a flag or a file path), as an exact number;
-    ValueError naming the source for text that is no number, a zero denominator,
-    or a numerator or denominator with more digits than Python's int/str limit
-    (Python >= 3.10.7; 0 lifts it).  The digits before a decimal exponent are
-    read under that limit, so a nonzero number whose exponent passes twice the
-    limit is refused before it is built."""
+def read_number(text: str) -> Fraction:
+    """text as an exact number; ValueError for text that is no number, a zero
+    denominator, or a numerator or denominator with more digits than Python's
+    int/str limit (Python >= 3.10.7; 0 lifts it).  The digits before a decimal
+    exponent are read under that limit, so a nonzero number whose exponent
+    passes twice the limit is refused before it is built."""
     limit = sys.get_int_max_str_digits()
     try:
         exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
@@ -54,11 +54,11 @@ def read_number(text: str, source: str) -> Fraction:
             str(x)  # ValueError when the numerator or the denominator passes the limit
             return x
     except ZeroDivisionError:  # Python's own message is "Fraction(1, 0)"
-        raise ValueError(f"{source}: division by zero") from None
+        raise ValueError("division by zero") from None
     except ValueError as exc:  # no number, or Python's advice to lift the digit limit
         if not str(exc).startswith("Exceeds the limit"):
-            raise ValueError(f"{source}: {exc}") from None
-    raise ValueError(f"{source}: Exceeds the limit ({limit} digits) for a numerator or denominator")
+            raise
+    raise ValueError(f"Exceeds the limit ({limit} digits) for a numerator or denominator")
 
 
 def matrix_to_doc(m: Matrix) -> dict:
@@ -69,7 +69,7 @@ def matrix_to_doc(m: Matrix) -> dict:
     }
 
 
-def matrix_from_doc(doc: dict, source: str = "matrix document") -> Matrix:
+def matrix_from_doc(doc: dict) -> Matrix:
     if not isinstance(doc, dict):
         raise ValueError("matrix document must be a JSON object")
     for key in ("rows", "cols", "entries"):
@@ -86,7 +86,7 @@ def matrix_from_doc(doc: dict, source: str = "matrix document") -> Matrix:
         raise ValueError("matrix document dimensions inconsistent")
     if any(type(x) not in (int, str) for row in entries for x in row):
         raise ValueError("matrix entries must be integers or fraction strings")
-    return Matrix([[read_number(str(x), source) for x in row] for row in entries])
+    return Matrix([[read_number(str(x)) for x in row] for row in entries])
 
 
 def _poly_doc(p: Polynomial) -> dict:
@@ -128,11 +128,18 @@ def _params_doc(params: dict) -> dict:
     return {k: [str(x) for x in v] if isinstance(v, tuple) else str(v) for k, v in params.items()}
 
 
-def _add_second_bound(doc: dict, bound: PingPongBound | None) -> None:
-    if bound is None:
-        doc["s0"] = str(s0())
-    else:
-        doc["r"] = _bound_doc(bound)
+def _bounds_doc(t_bound: PingPongBound, second: PingPongBound | None) -> dict:
+    key, value = ("s0", str(S0)) if second is None else ("r", _bound_doc(second))
+    return {"t": _bound_doc(t_bound), key: value}
+
+
+@contextlib.contextmanager
+def _source(name: str) -> Iterator[None]:
+    """Put ``name``, a flag or a file path, in front of a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def read_inputs(args: argparse.Namespace) -> None:
@@ -144,11 +151,11 @@ def read_inputs(args: argparse.Namespace) -> None:
         args.matrices = []
         for path in args.files:
             try:
-                with open(path) as fh:  # JSON integers are read under the digit limit too
-                    doc = json.load(fh, parse_int=lambda text: int(read_number(text, path)))
+                with open(path) as fh, _source(path):  # JSON integers obey the digit limit too
+                    doc = json.load(fh, parse_int=lambda text: int(read_number(text)))
+                    args.matrices.append(matrix_from_doc(doc))
             except OSError as exc:  # an unreadable file is bad input
                 raise ValueError(exc) from None
-            args.matrices.append(matrix_from_doc(doc, path))
         return
     if args.command == "thin":
         return
@@ -169,19 +176,18 @@ def read_inputs(args: argparse.Namespace) -> None:
     if args.command == "exp" and getattr(args, name) is None:
         raise ValueError(f"--{name} is required for kind {args.kind}")
     if "family" in args:
-        args.n = fam.size(args.n)
-        if args.n is None:
+        if args.n is None and not fam.fixed_b:
             raise ValueError("--n is required for this family")
+        args.n = fam.size(args.n)
     for flag in ("t", "s", "r", "width"):
         if getattr(args, flag, None) is not None:
-            setattr(args, flag, read_number(getattr(args, flag), f"--{flag}"))
+            with _source(f"--{flag}"):
+                setattr(args, flag, read_number(getattr(args, flag)))
     if "b" in used:
-        b = None if args.b in (None, "doubling") else [
-            read_number(x, "--b") for x in args.b.split(",")]
-        try:
+        with _source("--b"):
+            b = None if args.b in (None, "doubling") else [
+                read_number(x) for x in args.b.split(",")]
             args.b = doubling_bvector(args.n) if b is None else bvector(b, args.n)
-        except ValueError as exc:  # read_number's errors name the flag already
-            raise ValueError(f"--b: {exc}") from None
 
 
 def cmd_gen(args: argparse.Namespace) -> tuple[dict, int]:
@@ -197,9 +203,9 @@ def cmd_gen(args: argparse.Namespace) -> tuple[dict, int]:
     return doc, 0
 
 
-def _closure_doc(seed: Sequence[Matrix], n: int) -> tuple[dict, int]:
+def _closure_doc(seed: Sequence[Matrix]) -> tuple[dict, int]:
     result = subalgebra_closure(list(seed))
-    label = classify(n, result.dim)
+    label = classify(seed[0].n, result.dim)
     doc = {
         "dim": result.dim,
         "rounds": result.rounds,
@@ -209,12 +215,12 @@ def _closure_doc(seed: Sequence[Matrix], n: int) -> tuple[dict, int]:
 
 
 def cmd_closure(args: argparse.Namespace) -> tuple[dict, int]:
-    return _closure_doc(args.matrices, args.matrices[0].n)
+    return _closure_doc(args.matrices)
 
 
 def cmd_classify(args: argparse.Namespace) -> tuple[dict, int]:
     pair = build_pair(args.family, args.n, args.b)
-    doc, code = _closure_doc([pair.first, pair.second], pair.n)
+    doc, code = _closure_doc([pair.first, pair.second])
     doc.update(family=pair.family, n=pair.n)
     return doc, code
 
@@ -223,8 +229,8 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
     doc: dict = {"width": str(args.width), "family": args.family, "n": args.n}
     if args.b is not None:
         doc["b"] = [str(x) for x in args.b]
-    doc["t"] = _bound_doc(compute_t0(args.n, args.width))
-    _add_second_bound(doc, second_bound(args.family, args.n, args.b, args.width))
+    doc.update(_bounds_doc(compute_t0(args.n, args.width),
+                           second_bound(args.family, args.n, args.b, args.width)))
     return doc, 0
 
 
@@ -255,10 +261,9 @@ def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
             "target_dim": cert.target.dim,
             "target_type": cert.target.name,
         },
-        "bounds": {"t": _bound_doc(cert.t_bound)},
+        "bounds": _bounds_doc(cert.t_bound, cert.second_bound),
         "conclusion": cert.conclusion,
     }
-    _add_second_bound(doc["bounds"], cert.second_bound)
     return doc, (0 if cert.conclusion == CONCLUSION_FREE_DENSE else 1)
 
 

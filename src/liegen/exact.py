@@ -49,11 +49,7 @@ class Matrix:
     @classmethod
     def unit(cls, n: int, i: int, j: int, value: Scalar = 1) -> "Matrix":
         """The matrix unit e_{i,j} (1-based), optionally scaled."""
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"unit index ({i},{j}) out of range for n={n}")
-        rows = [[0] * n for _ in range(n)]
-        rows[i - 1][j - 1] = value
-        return cls(rows)
+        return cls.from_units(n, [(i, j, value)])
 
     @classmethod
     def from_units(cls, n: int, terms: Iterable[tuple[int, int, Scalar]]) -> "Matrix":

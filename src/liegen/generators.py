@@ -31,7 +31,7 @@ class Family(namedtuple("Family", "name alias min_n second target shift_units fi
 
     - ``alias``: the CLI's --family value;
     - ``min_n``: the smallest n the pair exists for;
-    - ``second``: "s" (bound s0 = 2), "r" (bound r0), None (no certified bound);
+    - ``second``: "s" (bound S0 = 2), "r" (bound r0), None (no certified bound);
     - ``target(n)``: the type of the algebra the pair generates, "A", "B", "C" or "G2";
     - ``shift_units(n)``: the (i, j, c) units of y, or None.
     """
@@ -43,11 +43,14 @@ class Family(namedtuple("Family", "name alias min_n second target shift_units fi
         """Whether the pair is built from the caller's b-vector."""
         return self.shift_units is None and self.fixed_b is None
 
-    def size(self, n: int | None) -> int | None:
-        """n, which a family of one size lets the caller omit but not change."""
+    def size(self, n: int | None) -> int:
+        """n, which a family of one size lets the caller omit but not change, and
+        every other family requires."""
         fixed = self.fixed_b and len(self.fixed_b) + 1
         if fixed and n not in (None, fixed):
             raise ValueError(f"the {self.alias} family lives in dimension {fixed}")
+        if not fixed and n is None:
+            raise ValueError(f"the {self.alias} family requires n")
         return fixed or n
 
     def check(self, n: int | None) -> int:
@@ -156,9 +159,7 @@ def doubling_bvector(n: int) -> tuple[Fraction, ...]:
     """The b-vector with entries b_i = 2^{n-1} + ... + 2^{n-i}; n=4 gives (8, 12, 14)."""
     if n < 3:
         raise ValueError("doubling b-vector requires n >= 3")
-    return tuple(
-        Fraction(sum(2 ** (n - j) for j in range(1, i + 1))) for i in range(1, n)
-    )
+    return tuple(Fraction(2**n - 2 ** (n - i)) for i in range(1, n))
 
 
 def g2_pair() -> GeneratorPair:
@@ -182,14 +183,6 @@ class CriterionResult(namedtuple("CriterionResult", "holds values")):
     __slots__ = ()
 
 
-def _plus_minus_distinct(values: Sequence[Fraction]) -> bool:
-    signed = set()
-    for v in values:
-        signed.add(v)
-        signed.add(-v)
-    return len(signed) == 2 * len(values)
-
-
 def prop2_criterion(cartan: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> CriterionResult:
     """Generation criterion for x = sum x_i, y = sum b_i y_i, from the rows of C.
 
@@ -201,7 +194,7 @@ def prop2_criterion(cartan: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> 
         raise ValueError("Cartan matrix must be square")
     bs = bvector(b, ell + 1)
     v = tuple(sum(_rat(c) * x for c, x in zip(row, bs)) for row in cartan)
-    return CriterionResult(holds=_plus_minus_distinct(v), values=v)
+    return CriterionResult(holds=len(set(v) | {-x for x in v}) == 2 * len(v), values=v)
 
 
 def type_a_cartan(ell: int) -> tuple[tuple[int, ...], ...]:

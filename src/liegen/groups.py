@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import Matrix, Scalar, _rat
 from .generators import bvector, lower_coefficients
-from .pingpong import compute_t0, s0
+from .pingpong import S0, compute_t0
 
 
 def exp_upper(t: Scalar, n: int) -> Matrix:
@@ -209,8 +209,8 @@ def thin_pair(n: int, q: int, s: int) -> ThinPair:
     warning = None
     if abs(t) <= t_safe:
         warning = f"|t| = {abs(t)} does not exceed the certified bound {t_safe}"
-    elif abs(s) <= s0():
-        warning = f"|s| = {abs(s)} does not exceed s0 = {s0()}"
+    elif abs(s) <= S0:
+        warning = f"|s| = {abs(s)} does not exceed s0 = {S0}"
     return ThinPair(
         n=n, t=t, s=s, first=a, second=bmat,
         certified=warning is None, warning=warning,

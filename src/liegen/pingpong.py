@@ -26,6 +26,9 @@ from .exact import (
 from .closure import classify, predicted_type, subalgebra_closure
 from .generators import build_pair, bvector, lookup_family, lower_coefficients
 
+#: Threshold for b(s)^m X1 in X2.
+S0 = Fraction(2)
+
 
 def t_inequality(n: int) -> Polynomial:
     """p(T) = T^{n-1}/(n-1)! - 2 sum_{i=1}^{n-1} T^{i-1}/(i-1)!.
@@ -113,16 +116,11 @@ def compute_r0(n: int, b: Sequence[Scalar], width: Fraction = DEFAULT_WIDTH) -> 
     return _bound_from_polys("r_bound", r_inequalities(n, b), width)
 
 
-def s0() -> Fraction:
-    """Threshold for b(s)^m X1 in X2: the constant 2."""
-    return Fraction(2)
-
-
 def second_bound(
     family: str, n: int, b: Sequence[Scalar] | None = None, width: Fraction = DEFAULT_WIDTH
 ) -> PingPongBound | None:
     """Bound on the second generator's parameter: r0 of the lower bidiagonal
-    second generator (b fixed for G2), None where the threshold is s0 = 2."""
+    second generator (b fixed for G2), None where the threshold is S0 = 2."""
     fam = lookup_family(family)
     if fam.second is None:
         raise ValueError(f"family {family!r} has no certified ping-pong bounds")
@@ -139,7 +137,7 @@ CONCLUSION_INSUFFICIENT = "insufficient"
 class Certificate(namedtuple("Certificate", "n family parameters pair closure type_label "
                                             "target t_bound second_bound conclusion")):
     """Joint density (Lie algebra closure) and freeness (ping-pong) certificate;
-    ``second_bound`` is None when the threshold is s0 = 2."""
+    ``second_bound`` is None when the threshold is S0 = 2."""
 
     __slots__ = ()
 
@@ -160,14 +158,15 @@ def certify_free_dense(
     ``insufficient`` is a valid outcome, never an error.
     """
     t = _rat(t)
-    second = lookup_family(family).second
+    fam = lookup_family(family)
+    second = fam.second
     given = {k: v for k, v in (("s", s), ("r", r)) if v is not None}
     if second is not None and list(given) != [second]:
         raise ValueError(f"the {family} family takes the parameter {second} alone")
-    n = lookup_family(family).check(n)
+    n = fam.check(n)
     bound = second_bound(family, n, b, width)
     second_val = _rat(given[second])
-    second_threshold = s0() if bound is None else bound.safe_value
+    second_threshold = S0 if bound is None else bound.safe_value
     pair = build_pair(family, n, b)
     params: dict = {"t": t, second: second_val}
     if pair.b is not None:

@@ -21,7 +21,7 @@ from liegen.generators import (
     g2_pair,
 )
 from liegen.groups import Word, exp_corner, exp_lower, exp_upper
-from liegen.pingpong import compute_r0, compute_t0, s0
+from liegen.pingpong import S0, compute_r0, compute_t0
 
 
 # ---------------------------------------------------------------- [x^s, y]
@@ -231,7 +231,7 @@ def pingpong_spotcheck(
         bound, source, target = compute_t0(n).safe_value, X2, X1
         powered = lambda m: exp_upper(m * parameter, n)
     elif kind == "b":
-        bound, source, target = s0(), X1, X2
+        bound, source, target = S0, X1, X2
         powered = lambda m: exp_corner(m * parameter, n)
     elif kind == "c":
         bound, source, target = compute_r0(n, b).safe_value, X1, X2

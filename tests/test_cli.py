@@ -98,6 +98,18 @@ class TestClassifyAndClosure:
         assert code == 2
         assert err == f"liegen: error: [Errno 2] No such file or directory: '{missing}'\n"
 
+    @pytest.mark.parametrize("text", [
+        "not json",
+        "[1, 2]",
+        json.dumps({"rows": 2, "cols": 3, "entries": [[1, 0, 0], [0, 1, 0]]}),
+    ], ids=["not-json", "json-list", "not-square"])
+    def test_bad_closure_file_is_named(self, capsys, tmp_path, text):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(matrix_to_doc(Matrix.unit(2, 1, 2))))
+        bad.write_text(text)
+        code, err = run_bad(capsys, "closure", str(good), str(bad))
+        assert code == 2 and err.startswith(f"liegen: error: {bad}: ")
+
     def test_closure_unrecognized_exits_1(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(json.dumps(matrix_to_doc(Matrix.unit(3, 1, 2))))

@@ -5,25 +5,28 @@ from fractions import Fraction
 import pytest
 
 from liegen import pingpong
+from liegen.closure import predicted_type
 from liegen.exact import DEFAULT_WIDTH, Polynomial
 from liegen.generators import (
     FAMILY_CORNER,
     FAMILY_G2,
     FAMILY_LOWER,
     G2_LOWER_B,
+    build_pair,
     doubling_bvector,
+    shift_pair,
 )
 from liegen.pingpong import (
     CONCLUSION_DENSE_ONLY,
     CONCLUSION_FREE_DENSE,
     CONCLUSION_INSUFFICIENT,
+    S0,
     PingPongBound,
     _bound_from_polys,
     certify_free_dense,
     compute_r0,
     compute_t0,
     r_inequalities,
-    s0,
     second_bound,
     t_inequality,
 )
@@ -133,7 +136,7 @@ class TestBounds:
         assert bound.safe_value <= 17
 
     def test_s0(self):
-        assert s0() == 2
+        assert S0 == 2
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_safe_value_contract(self, n):
@@ -277,6 +280,19 @@ class TestCertify:
     def test_g2_at_another_size_names_the_size_rule(self, call):
         """No b-vector was given, so the message is about n, not b."""
         with pytest.raises(ValueError, match="the g2 family lives in dimension 7"):
+            call()
+
+    @pytest.mark.parametrize("call, family", [
+        (lambda: build_pair(FAMILY_CORNER, None), "corner"),
+        (lambda: shift_pair(None), "corner"),
+        (lambda: predicted_type(FAMILY_CORNER, None), "corner"),
+        (lambda: certify_free_dense(None, FAMILY_CORNER, 8, s=3), "corner"),
+        (lambda: second_bound(FAMILY_LOWER, None, [1, 2]), "lower"),
+    ], ids=["build_pair", "shift_pair", "predicted_type", "certify_free_dense", "second_bound"])
+    def test_omitted_n_names_the_family(self, call, family):
+        """Only a family of one size may omit n; every other refuses None with
+        the family's name, not a TypeError from comparing None."""
+        with pytest.raises(ValueError, match=f"^the {family} family requires n$"):
             call()
 
     @pytest.mark.parametrize("params", [{}, {"s": 3}, {"s": 3, "r": 3}])
