@@ -152,8 +152,15 @@ def read_inputs(args: argparse.Namespace) -> None:
         for path in args.files:
             try:
                 with open(path) as fh, _source(path):  # JSON integers obey the digit limit too
-                    doc = json.load(fh, parse_int=lambda text: int(read_number(text)))
-                    args.matrices.append(matrix_from_doc(doc))
+                    try:
+                        doc = json.load(fh, parse_int=lambda text: int(read_number(text)))
+                    except RecursionError:  # the decoder recurses once per nesting level
+                        raise ValueError("JSON nested too deeply") from None
+                    m = matrix_from_doc(doc)
+                    if args.matrices and m.n != args.matrices[0].n:
+                        n = args.matrices[0].n
+                        raise ValueError(f"{m.n}x{m.n} matrix, but {args.files[0]} is {n}x{n}")
+                    args.matrices.append(m)
             except OSError as exc:  # an unreadable file is bad input
                 raise ValueError(exc) from None
         return

@@ -11,6 +11,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import chain
 
 Scalar = int | Fraction
 
@@ -34,7 +35,10 @@ class Matrix:
     __slots__ = ("n", "rows", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        rs = tuple(tuple(_rat(x) for x in row) for row in rows)
+        rs = tuple(map(tuple, rows))
+        # one pass over the entry types: products of Fraction rows need no conversion
+        if set(map(type, chain.from_iterable(rs))) - {Fraction}:
+            rs = tuple(tuple(map(_rat, row)) for row in rs)
         n = len(rs)
         if n == 0 or any(len(r) != n for r in rs):
             raise ValueError("matrix must be square and nonempty")

@@ -22,21 +22,17 @@ def exp_upper(t: Scalar, n: int) -> Matrix:
     if n < 2:
         raise ValueError("n must be at least 2")
     t = _rat(t)
-    rows = [
-        [
-            t ** (j - i) / math.factorial(j - i) if j >= i else Fraction(0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Matrix(rows)
+    terms = [Fraction(1)]  # t^d/d!, each from the one before
+    for d in range(1, n):
+        terms.append(terms[-1] * t / d)
+    return Matrix([[Fraction(0)] * i + terms[:n - i] for i in range(n)])
 
 
 def exp_corner(s: Scalar, n: int) -> Matrix:
     """b(s) = exp(s e_{n,1}) = identity plus s in the lower-left corner."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    return Matrix.identity(n) + Matrix.unit(n, n, 1, _rat(s))
+    return Matrix.from_units(n, [(i, i, 1) for i in range(1, n + 1)] + [(n, 1, s)])
 
 
 def exp_lower(r: Scalar, b: Sequence[Scalar]) -> Matrix:
@@ -44,7 +40,7 @@ def exp_lower(r: Scalar, b: Sequence[Scalar]) -> Matrix:
     n, r = len(b) + 1, _rat(r)
     c = lower_coefficients(bvector(b, n))
     scale = [r**d / math.factorial(d) for d in range(n)]
-    return Matrix([[x * f for x, f in zip(c[j], scale)][::-1] + [0] * (n - j)
+    return Matrix([[x * f for x, f in zip(c[j], scale)][::-1] + [Fraction(0)] * (n - j)
                    for j in range(1, n + 1)])
 
 
@@ -155,8 +151,8 @@ def freeness_scan(
             for syl, cols in syllable_cols.items():
                 longer = [w + (syl,) for w in words if not w or w[-1][0] != syl[0]]
                 if longer:
-                    prod_m = Matrix([[row[j] + sum(row[i] * x for i, x in col) if col else row[j]
-                                      for j, col in enumerate(cols)] for row in prod.rows])
+                    prod_m = Matrix([tuple([sum([row[i] * x for i, x in col], row[j])
+                                            for j, col in enumerate(cols)]) for row in prod.rows])
                     table.setdefault((h, prod_m), []).extend(longer)
 
     hits = []

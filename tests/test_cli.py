@@ -110,6 +110,23 @@ class TestClassifyAndClosure:
         code, err = run_bad(capsys, "closure", str(good), str(bad))
         assert code == 2 and err.startswith(f"liegen: error: {bad}: ")
 
+    def test_deeply_nested_closure_file_is_named(self, capsys, tmp_path):
+        """The JSON decoder recurses once per nesting level, so 100,000 levels
+        pass any recursion limit: bad input, not an internal error."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, err = run_bad(capsys, "closure", str(deep))
+        assert code == 2 and err == f"liegen: error: {deep}: JSON nested too deeply\n"
+
+    def test_closure_files_of_two_sizes_are_named(self, capsys, tmp_path):
+        """The first file whose size differs from the first file's is refused,
+        with both sizes; each file alone is valid."""
+        a2, a3 = tmp_path / "a2.json", tmp_path / "a3.json"
+        a2.write_text(json.dumps(matrix_to_doc(Matrix.identity(2))))
+        a3.write_text(json.dumps(matrix_to_doc(Matrix.identity(3))))
+        code, err = run_bad(capsys, "closure", str(a2), str(a2), str(a3), str(a2))
+        assert code == 2 and err == f"liegen: error: {a3}: 3x3 matrix, but {a2} is 2x2\n"
+
     def test_closure_unrecognized_exits_1(self, capsys, tmp_path):
         f = tmp_path / "m.json"
         f.write_text(json.dumps(matrix_to_doc(Matrix.unit(3, 1, 2))))

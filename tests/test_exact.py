@@ -36,6 +36,21 @@ class TestMatrix:
         e12 = Matrix.unit(3, 1, 2)
         assert e12[1, 2] == 1
         assert e12[2, 1] == 0
+        # the same matrix from ints, bools, Fractions and strings, in lists,
+        # tuples and generators, alone and mixed: Fraction entries only, equal
+        # matrices and equal hashes (an int hashes like its Fraction)
+        zero = [0, 0, 0]
+        for rows in (
+            [[0, 1, 0], zero, zero],
+            ((False, True, False), (False,) * 3, (False,) * 3),
+            [[Fraction(0), Fraction(1), Fraction(0)], [Fraction(0)] * 3, (Fraction(0),) * 3],
+            [("0", "1", "0"), ["0/5", "-0", "0"], ["0"] * 3],
+            ((x for x in row) for row in ([0, 1, 0], zero, zero)),
+            [(Fraction(0), "2/2", False), (x for x in (0, False, "0")), [Fraction(0), 0, "0"]],
+        ):
+            m = Matrix(rows)
+            assert {type(x) for x in m.flatten()} == {Fraction}
+            assert m == e12 and hash(m) == hash(e12)
 
     def test_square_required(self):
         with pytest.raises(ValueError):

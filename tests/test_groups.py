@@ -284,14 +284,21 @@ class TestScanAgainstDepthFirst:
         assert seen == {(n, g) for n in (2, 3, 4) for g in "rs"}
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("second", ["s", "r"])
 def test_wider_scans_match_depth_first(n, second):
-    """Corner and lower scans at n = 5 and 6, past the sizes the seeds above
-    draw, with rational parameters and a rational b-vector: words of up to 3
-    syllables with exponents up to 2 against dense products."""
-    kwargs = {"t": Fraction(3, 2), "max_syllables": 3, "max_exponent": 2}
-    if second == "s":
+    """Corner and lower scans with rational parameters and a rational b-vector
+    against dense products: at n = 2, 3 and 4 the benchmark's cells with
+    exponents up to 3 (words of up to 4 syllables, 3 at n = 4), and at n = 5
+    and 6, past the sizes the seeds above draw, up to 3 syllables with
+    exponents up to 2.  The n = 2 corner scan takes t s = 1, where words of 6
+    syllables hit the identity, so it runs to 6 syllables."""
+    kwargs = {"t": Fraction(3, 2), "max_syllables": 4 if n < 4 else 3,
+              "max_exponent": 3 if n < 5 else 2}
+    collides = n == 2 and second == "s"
+    if collides:
+        kwargs.update(s=Fraction(2, 3), max_syllables=6)
+    elif second == "s":
         kwargs["s"] = Fraction(-1, 2)
     else:
         kwargs["r"] = Fraction(1, 2)
@@ -300,6 +307,7 @@ def test_wider_scans_match_depth_first(n, second):
     rep = freeness_scan(n, **kwargs)
     assert rep.words_checked == checked
     assert rep.collisions == hits
+    assert bool(hits) == collides
 
 
 class TestThinPair:
