@@ -104,9 +104,7 @@ def _approx(x: Fraction) -> float | None:
         return None
 
 
-def _bracket_doc(br: RootBracket | None) -> dict | None:
-    if br is None:
-        return None
+def _bracket_doc(br: RootBracket) -> dict:
     return {
         "lo": str(br.lo),
         "hi": str(br.hi),

@@ -22,6 +22,8 @@ MIN_WIDTH = Fraction(1, 2**256)
 
 
 def _rat(x: Scalar) -> Fraction:
+    if isinstance(x, float):  # a float is a binary approximation, never exact input
+        raise TypeError(f"exact arithmetic refuses the float {x!r}; give an int or a Fraction")
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -300,6 +302,7 @@ def isolate_largest_positive_root(
     one p is live, ``_refine`` takes its bracket to the final level in far fewer
     steps.  Each sign is one integer sum with shifts over the cleared coefficients.
     """
+    width = _rat(width)
     if width <= 0:
         raise ValueError("root bracket width must be positive")
     if width < MIN_WIDTH:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import Matrix, Scalar, _rat
 from .generators import bvector, lower_coefficients
-from .pingpong import S0, compute_t0
+from .pingpong import compute_t0, freeness_warning
 
 
 def exp_upper(t: Scalar, n: int) -> Matrix:
@@ -190,8 +190,8 @@ def thin_pair(n: int, q: int, s: int) -> ThinPair:
     """Integer pair a((n-1)! q), b(s) in SL(n, Z).
 
     Certified (free, hence thin by the congruence subgroup property) when
-    |t| clears the ping-pong bound and |s| > 2; otherwise emitted with a
-    warning flag.
+    t and s pass ``freeness_warning``, the ping-pong test that
+    ``certify_free_dense`` makes; otherwise emitted with its warning.
     """
     if n <= 2:
         raise ValueError("thin pairs require n > 2")
@@ -201,12 +201,7 @@ def thin_pair(n: int, q: int, s: int) -> ThinPair:
     a = exp_upper(t, n)
     bmat = exp_corner(s, n)
     assert all(x.denominator == 1 for x in a.flatten())
-    t_safe = compute_t0(n).safe_value
-    warning = None
-    if abs(t) <= t_safe:
-        warning = f"|t| = {abs(t)} does not exceed the certified bound {t_safe}"
-    elif abs(s) <= S0:
-        warning = f"|s| = {abs(s)} does not exceed s0 = {S0}"
+    warning = freeness_warning(t, compute_t0(n), "s", s)
     return ThinPair(
         n=n, t=t, s=s, first=a, second=bmat,
         certified=warning is None, warning=warning,

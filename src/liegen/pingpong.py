@@ -86,23 +86,23 @@ class PingPongBound(namedtuple("PingPongBound", "kind polys bracket safe_value")
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: both check
 
-    def __new__(cls, kind: str, polys: tuple[Polynomial, ...], bracket: RootBracket | None,
+    def __new__(cls, kind: str, polys: tuple[Polynomial, ...], bracket: RootBracket,
                 safe_value: Fraction) -> PingPongBound:
         # witness of p > 0 on [safe_value, oo): lead > 0, <= 1 sign change, p(safe) > 0
         for p in polys:
             ints = p.integer_coefficients()
             if p(safe_value) <= 0 or ints[-1] < 0 or _descartes_sign_changes(ints) > 1:
                 raise AssertionError("safe_value lacks a positivity witness")
-        if bracket is not None and bracket.hi > safe_value:
+        if bracket.hi > safe_value:
             raise AssertionError("bracket exceeds safe_value")
         return super().__new__(cls, kind, polys, bracket, safe_value)
 
 
 def _bound_from_polys(kind: str, polys: Sequence[Polynomial], width: Fraction) -> PingPongBound:
-    # one sign change each puts every root below top.hi, so the least
-    # multiple of 1/1024 at or above top.hi is safe
+    # every coefficient but the leading one is negative, so each p has one positive
+    # root, all below top.hi: the least multiple of 1/1024 at or above top.hi is safe
     top = isolate_largest_positive_root(polys, width)
-    safe = Fraction(0) if top is None else Fraction(math.ceil(top.hi * 1024), 1024)
+    safe = Fraction(math.ceil(top.hi * 1024), 1024)
     return PingPongBound(kind=kind, polys=tuple(polys), bracket=top, safe_value=safe)
 
 
@@ -129,6 +129,18 @@ def second_bound(
     return None if fam.second == "s" else compute_r0(n, b, width)
 
 
+def freeness_warning(t: Scalar, t_bound: PingPongBound, name: str, x: Scalar,
+                     bound: PingPongBound | None = None) -> str | None:
+    """Ping-pong test (Tits 1972) of t and x, the parameter ``name``: None when |t| > t0
+    and |x| > x0 (``bound``'s safe value, else S0); else a warning on the first that fails."""
+    x0, what = (S0, "s0 =") if bound is None else (bound.safe_value, "the certified bound")
+    if abs(t) <= t_bound.safe_value:
+        return f"|t| = {abs(t)} does not exceed the certified bound {t_bound.safe_value}"
+    if abs(x) <= x0:
+        return f"|{name}| = {abs(x)} does not exceed {what} {x0}"
+    return None
+
+
 CONCLUSION_FREE_DENSE = "free_dense_certified"
 CONCLUSION_DENSE_ONLY = "dense_only"
 CONCLUSION_INSUFFICIENT = "insufficient"
@@ -153,8 +165,8 @@ def certify_free_dense(
 ) -> Certificate:
     """Certify that <exp(t x), exp(s y)> (or c(r)) is free and Zariski dense.
 
-    Density comes from the exact subalgebra closure of the generator pair;
-    freeness from the parameters clearing the certified ping-pong bounds.
+    Density: the type ``classify`` names for the exact closure of the pair is
+    the target; freeness: the parameters pass ``freeness_warning``'s test.
     ``insufficient`` is a valid outcome, never an error.
     """
     t = _rat(t)
@@ -166,7 +178,6 @@ def certify_free_dense(
     n = fam.check(n)
     bound = second_bound(family, n, b, width)
     second_val = _rat(given[second])
-    second_threshold = S0 if bound is None else bound.safe_value
     pair = build_pair(family, n, b)
     params: dict = {"t": t, second: second_val}
     if pair.b is not None:
@@ -176,15 +187,10 @@ def certify_free_dense(
     label = classify(n, closure.dim)
     target = predicted_type(family, n)
     t_bound = compute_t0(n, width)
-    density_ok = closure.dim == target.dim and t != 0 and second_val != 0
-    freeness_ok = abs(t) > t_bound.safe_value and abs(second_val) > second_threshold
-
-    if density_ok and freeness_ok:
-        conclusion = CONCLUSION_FREE_DENSE
-    elif density_ok:
-        conclusion = CONCLUSION_DENSE_ONLY
-    else:
-        conclusion = CONCLUSION_INSUFFICIENT
+    density_ok = label == target and t != 0 and second_val != 0
+    freeness_ok = freeness_warning(t, t_bound, second, second_val, bound) is None
+    conclusion = (CONCLUSION_INSUFFICIENT if not density_ok else
+                  CONCLUSION_FREE_DENSE if freeness_ok else CONCLUSION_DENSE_ONLY)
 
     return Certificate(
         n=n, family=family, parameters=params, pair=pair,

@@ -16,8 +16,9 @@ from liegen.exact import (
     bracket,
     isolate_largest_positive_root,
 )
-from liegen.generators import G2_LOWER_B, doubling_bvector
-from liegen.pingpong import r_inequalities, t_inequality
+from liegen.generators import FAMILY_CORNER, G2_LOWER_B, bvector, doubling_bvector
+from liegen.groups import exp_upper, freeness_scan
+from liegen.pingpong import certify_free_dense, compute_t0, r_inequalities, t_inequality
 
 from paper_oracles import det, flat
 
@@ -550,3 +551,31 @@ class TestRefinementGivesTheBisectionBracket:
 
     def test_t_inequality_200_at_the_finest_width(self):
         self.check([t_inequality(200)], MIN_WIDTH)
+
+
+class TestFloatsRefused:
+    """Every library entry point reads numbers through ``exact._rat``, which
+    refuses a float: 0.1 or 8.1 would enter as a binary fraction near it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: certify_free_dense(4, FAMILY_CORNER, t=8.1, s=3),
+        lambda: exp_upper(0.1, 2),
+        lambda: Matrix([[0.5]]),
+        lambda: Polynomial([0.1, 1]),
+        lambda: bvector([0.5], 2),
+        lambda: freeness_scan(2, t=0.5, s=1),
+        lambda: compute_t0(4, 0.5),
+        lambda: isolate_largest_positive_root([Polynomial([-2, 1])], 0.5),
+    ], ids=["certify_free_dense", "exp_upper", "Matrix", "Polynomial", "bvector",
+            "freeness_scan", "compute_t0_width", "isolate_width"])
+    def test_float_raises_type_error(self, call):
+        with pytest.raises(TypeError, match="refuses the float"):
+            call()
+
+    def test_exact_values_of_the_same_numbers_pass(self):
+        assert certify_free_dense(4, FAMILY_CORNER, t=Fraction(81, 10), s=3).conclusion == \
+            "free_dense_certified"
+        assert exp_upper(Fraction(1, 10), 2)[1, 2] == Fraction(1, 10)
+        bracket = compute_t0(4, Fraction(1, 2)).bracket
+        assert bracket.hi - bracket.lo <= Fraction(1, 2)
+

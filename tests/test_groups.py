@@ -323,12 +323,15 @@ class TestThinPair:
         assert tp.certified
 
     def test_warning_below_bound(self):
-        tp = thin_pair(4, 1, 3)  # t = 6 < certified threshold near 7.75
-        assert not tp.certified and tp.warning is not None
+        # t = 6 < certified threshold near 7.75; t is tested before s
+        for s in (3, 0):
+            tp = thin_pair(4, 1, s)
+            assert not tp.certified
+            assert tp.warning == "|t| = 6 does not exceed the certified bound 7935/1024"
 
     def test_small_s_warns(self):
         tp = thin_pair(4, 2, 1)
-        assert not tp.certified and "s" in tp.warning
+        assert not tp.certified and tp.warning == "|s| = 1 does not exceed s0 = 2"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -56,3 +56,19 @@ def test_no_file_imports_a_library_name_from_the_package_root():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module == "liegen" and not node.level:
                 assert {a.name for a in node.names} <= set(LAYERS), path
+
+
+def test_the_only_float_call_makes_the_approx_fields():
+    """No float enters exact arithmetic: the one float(...) call in the package
+    is in cli._approx, which makes the auxiliary "approx" fields."""
+    def float_calls(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "float"]
+
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text()) for name in LAYERS}
+    assert {name: len(float_calls(tree)) for name, tree in trees.items()
+            if float_calls(tree)} == {"cli": 1}
+    (approx,) = [node for node in trees["cli"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_approx"]
+    assert len(float_calls(approx)) == 1
+

@@ -16,6 +16,7 @@ from liegen.generators import (
     doubling_bvector,
     shift_pair,
 )
+from liegen.groups import thin_pair
 from liegen.pingpong import (
     CONCLUSION_DENSE_ONLY,
     CONCLUSION_FREE_DENSE,
@@ -26,6 +27,7 @@ from liegen.pingpong import (
     certify_free_dense,
     compute_r0,
     compute_t0,
+    freeness_warning,
     r_inequalities,
     second_bound,
     t_inequality,
@@ -107,6 +109,24 @@ class TestInequalityPolynomials:
             r_inequalities(4, (1, 0, 1))
         with pytest.raises(ValueError):
             r_inequalities(4, (1, 1))
+
+    def test_every_inequality_has_one_sign_change(self):
+        """Every coefficient below the leading one is negative, so each
+        polynomial has one Descartes sign change and one positive root: root
+        isolation always returns a bracket, and every bound carries one."""
+        def one_change(p):
+            signs = [c > 0 for c in p.integer_coefficients() if c]
+            return signs[-1] and sum(a != b for a, b in zip(signs, signs[1:])) == 1
+
+        assert all(one_change(t_inequality(n)) for n in range(2, 61))
+        bs = [doubling_bvector(n) for n in range(3, 21)] + [G2_LOWER_B]
+        rng = random.Random("one sign change")
+        for k in range(50):
+            draw = (lambda: rng.randint(1, 40)) if k % 2 else (
+                lambda: Fraction(rng.randint(1, 40), rng.randint(1, 12)))
+            bs.append([rng.choice((-1, 1)) * draw() for _ in range(rng.randint(2, 9))])
+        for b in bs:
+            assert all(one_change(p) for p in r_inequalities(len(b) + 1, b)), b
 
 
 class TestBounds:
@@ -257,6 +277,47 @@ class TestCertify:
             rank = order[cert.conclusion]
             assert rank >= last
             last = rank
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_thin_makes_certify_freeness_test(self, n):
+        """A thin pair is certified exactly when certify, at the same t and s,
+        concludes free and dense: the corner pair is always dense at t, s != 0."""
+        for q in (-3, -2, -1, 1, 2, 3):
+            t = math.factorial(n - 1) * q
+            for s in (-3, -2, -1, 0, 1, 2, 3, 5):
+                cert = certify_free_dense(n, FAMILY_CORNER, t=t, s=s)
+                assert thin_pair(n, q, s).certified == (
+                    cert.conclusion == CONCLUSION_FREE_DENSE), (q, s)
+
+    @pytest.mark.parametrize("family,n,b", [
+        *[(FAMILY_CORNER, n, None) for n in range(3, 9)],
+        *[(FAMILY_LOWER, n, doubling_bvector(n)) for n in range(3, 7)],
+        (FAMILY_G2, 7, None),
+        (FAMILY_LOWER, 4, (13, 11, 13)),
+    ])
+    def test_density_is_the_named_type_being_the_target(self, family, n, b):
+        """A certificate says more than ``insufficient`` exactly when the type
+        that ``classify`` names is the family's target and t and x are nonzero;
+        the lower pair at b = (13, 11, 13) closes to C2, not to its target A3."""
+        name = "s" if family == FAMILY_CORNER else "r"
+        for t, x in ((0, 3), (3, 0), (1, 1), (10**4, 10**4)):
+            cert = certify_free_dense(n, family, t=t, b=b, **{name: x})
+            named = cert.type_label == cert.target
+            assert (cert.conclusion != CONCLUSION_INSUFFICIENT) == (named and t != 0 and x != 0)
+        assert named != (b == (13, 11, 13))
+        if not named:
+            assert cert.type_label.name == "C2" and cert.target.name == "A3"
+
+    def test_freeness_warning_names_the_first_test_that_fails(self):
+        t_bound, r_bound = compute_t0(4), compute_r0(4, doubling_bvector(4))
+        t0, r0 = t_bound.safe_value, r_bound.safe_value
+        assert freeness_warning(t0, t_bound, "r", 0, r_bound) == (
+            f"|t| = {t0} does not exceed the certified bound {t0}")
+        assert freeness_warning(-t0 - 1, t_bound, "r", -r0, r_bound) == (
+            f"|r| = {r0} does not exceed the certified bound {r0}")
+        assert freeness_warning(t0 + 1, t_bound, "r", r0 + 1, r_bound) is None
+        assert freeness_warning(t0 + 1, t_bound, "s", -2) == "|s| = 2 does not exceed s0 = 2"
+        assert freeness_warning(t0 + 1, t_bound, "s", Fraction(-201, 100)) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
