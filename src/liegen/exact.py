@@ -38,7 +38,7 @@ class Matrix:
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         rs = tuple(map(tuple, rows))
-        # one pass over the entry types: products of Fraction rows need no conversion
+        # one pass over the entry types: rows of Fractions need no conversion
         if set(map(type, chain.from_iterable(rs))) - {Fraction}:
             rs = tuple(tuple(map(_rat, row)) for row in rs)
         n = len(rs)
@@ -47,6 +47,14 @@ class Matrix:
         self.n = n
         self.rows = rs
         self._hash: int | None = None
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
+        """Wrap square rows of Fractions without a check: only for the results of
+        Fraction arithmetic on Matrix entries, which are Fractions already."""
+        m = object.__new__(cls)
+        m.n, m.rows, m._hash = len(rows), rows, None
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -73,29 +81,26 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return Matrix._of(tuple(
+            [tuple([a + b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)]
+        ))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_dim(other)
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return Matrix._of(tuple(
+            [tuple([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(self.rows, other.rows)]
+        ))
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.rows])
+        return Matrix._of(tuple([tuple([-a for a in row]) for row in self.rows]))
 
     def __mul__(self, other: Matrix | Scalar) -> "Matrix":
         if isinstance(other, Matrix):
             self._check_dim(other)
             cols = tuple(zip(*other.rows))
-            return Matrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self.rows
-                ]
-            )
+            return Matrix._of(tuple(
+                [tuple([sum(a * b for a, b in zip(row, col)) for col in cols]) for row in self.rows]
+            ))
         return Matrix([[a * other for a in row] for row in self.rows])
 
     def __rmul__(self, other: Scalar) -> "Matrix":
@@ -107,14 +112,18 @@ class Matrix:
         )
 
     def __hash__(self) -> int:
+        # a Fraction is kept in lowest terms, so equal entries have equal integer
+        # pairs, and hashing those takes no modular inverse per entry
         if self._hash is None:
-            self._hash = hash(self.rows)
+            self._hash = hash(tuple([(x.numerator, x.denominator) for row in self.rows for x in row]))
         return self._hash
 
     def __repr__(self) -> str:
         return f"Matrix({[[str(x) for x in row] for row in self.rows]})"
 
     def _check_dim(self, other: "Matrix") -> None:
+        if not isinstance(other, Matrix):  # its rows would go in unchecked
+            raise TypeError(f"expected a Matrix, got {type(other).__name__}")
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
@@ -240,6 +249,7 @@ class Polynomial:
 
     def __call__(self, x: Scalar) -> Fraction:
         # p(a/b) = sum_i _ints[i] a^i b^(d-i) / (_den b^d): one Fraction at the end
+        x = _rat(x)
         a, b = x.numerator, x.denominator
         acc, scale = 0, 1
         for c in reversed(self._ints):

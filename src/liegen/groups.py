@@ -134,15 +134,17 @@ def freeness_scan(
     }
     # each syllable g as the columns of g - I, each the (row index, value)
     # pairs of its nonzero entries, so that P g = P + P (g - I): every
-    # syllable is unipotent, b(s) - I has one nonzero entry, and a column
-    # of g - I with no pairs keeps P's entry itself rather than a new one
-    syllable_cols = {syl: [[(i, x - (i == j)) for i, x in enumerate(col) if x != (i == j)]
+    # syllable is unipotent, so g - I is g off the diagonal and 0 on it,
+    # b(s) - I has one nonzero entry, and a column of g - I with no pairs
+    # keeps P's entry itself rather than a new one
+    syllable_cols = {syl: [[(i, x) for i, x in enumerate(col) if i != j and x]
                            for j, col in enumerate(zip(*m.rows))]
                      for syl, m in syllable_mats.items()}
 
     # (length, product) -> the reduced words of that length with that product;
     # level h extends each entry of level h - 1 by each syllable, with one
-    # product for all of the entry's words that end in the other generator
+    # product for all of the entry's words that end in the other generator;
+    # its rows are sums of Fractions, so Matrix._of takes them unchecked
     table: dict[tuple[int, Matrix], list[tuple]] = {(0, Matrix.identity(n)): [()]}
     for h in range(1, half + 1):
         for (k, prod), words in list(table.items()):
@@ -151,8 +153,9 @@ def freeness_scan(
             for syl, cols in syllable_cols.items():
                 longer = [w + (syl,) for w in words if not w or w[-1][0] != syl[0]]
                 if longer:
-                    prod_m = Matrix([tuple([sum([row[i] * x for i, x in col], row[j])
-                                            for j, col in enumerate(cols)]) for row in prod.rows])
+                    prod_m = Matrix._of(tuple([tuple([sum([row[i] * x for i, x in col], row[j])
+                                                      for j, col in enumerate(cols)])
+                                               for row in prod.rows]))
                     table.setdefault((h, prod_m), []).extend(longer)
 
     hits = []

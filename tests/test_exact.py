@@ -38,20 +38,37 @@ class TestMatrix:
         assert e12[1, 2] == 1
         assert e12[2, 1] == 0
         # the same matrix from ints, bools, Fractions and strings, in lists,
-        # tuples and generators, alone and mixed: Fraction entries only, equal
-        # matrices and equal hashes (an int hashes like its Fraction)
+        # tuples and generators, alone and mixed, and by arithmetic, which
+        # takes the unchecked path: Fraction entries only, equal matrices and
+        # equal hashes (an int hashes like its Fraction)
         zero = [0, 0, 0]
-        for rows in (
+        built = [Matrix(rows) for rows in (
             [[0, 1, 0], zero, zero],
             ((False, True, False), (False,) * 3, (False,) * 3),
             [[Fraction(0), Fraction(1), Fraction(0)], [Fraction(0)] * 3, (Fraction(0),) * 3],
             [("0", "1", "0"), ["0/5", "-0", "0"], ["0"] * 3],
             ((x for x in row) for row in ([0, 1, 0], zero, zero)),
             [(Fraction(0), "2/2", False), (x for x in (0, False, "0")), [Fraction(0), 0, "0"]],
-        ):
-            m = Matrix(rows)
+        )]
+        for m in built + [Matrix.identity(3) * e12, (e12 + e12) - e12, -(-e12)]:
             assert {type(x) for x in m.flatten()} == {Fraction}
             assert m == e12 and hash(m) == hash(e12)
+
+    def test_scalar_products_refuse_a_float(self):
+        e12 = Matrix.unit(3, 1, 2)
+        with pytest.raises(TypeError):
+            0.5 * e12
+        with pytest.raises(TypeError):
+            e12 * 0.5
+
+    def test_sums_refuse_a_non_matrix(self):
+        # a sum's rows go in unchecked, so the other operand must be a Matrix
+        e12 = Matrix.unit(3, 1, 2)
+        for other in (1, Fraction(1, 2), 0.5, [[0] * 3] * 3):
+            with pytest.raises(TypeError):
+                e12 + other
+            with pytest.raises(TypeError):
+                e12 - other
 
     def test_square_required(self):
         with pytest.raises(ValueError):
@@ -189,6 +206,13 @@ class TestPolynomial:
         p = Polynomial([-2, 0, Fraction(1, 2)])  # x^2/2 - 2
         assert p(2) == 0
         assert p(Fraction(1, 3)) == Fraction(1, 18) - 2
+
+    def test_call_reads_its_argument_as_exact(self):
+        # a float is refused as at every other entry point; an int is its Fraction
+        p = t_inequality(3)
+        with pytest.raises(TypeError):
+            p(0.5)
+        assert p(2) == p(Fraction(2))
 
     def test_call_matches_fraction_horner(self):
         # p(x) in one integer sum and one Fraction: the value that Fraction

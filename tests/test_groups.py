@@ -174,6 +174,22 @@ class TestFreenessScan:
         with pytest.raises(ValueError):
             freeness_scan(2, t=1, s=1, max_syllables=0, max_exponent=1)
 
+    @pytest.mark.parametrize("t, s, lam, max_exp, hits", [
+        (1, 1, Fraction(1, 2), 2, 304),
+        (1, 1, Fraction(5, 3), 2, 304),
+        (1, 3, Fraction(1, 3), 1, 4),
+        (1, 3, 2, 1, 4),
+        (1, 3, Fraction(3, 2), 1, 4),
+    ])
+    def test_torus_conjugation_leaves_the_scan_unchanged(self, t, s, lam, max_exp, hits):
+        """D = diag(1/lam, 1/lam^2) takes a(t) to a(lam t) and b(s) to b(s/lam)
+        at n = 2, so both pairs have the same identity words; the products
+        differ and have denominators 2, 3, 5 and 9."""
+        rep = freeness_scan(2, t, s, max_syllables=8, max_exponent=max_exp)
+        conj = freeness_scan(2, lam * t, Fraction(s) / lam, max_syllables=8, max_exponent=max_exp)
+        assert len(rep.collisions) == hits
+        assert conj.collisions == rep.collisions
+
     @pytest.mark.parametrize("b", [[0], [1, 2]])
     def test_corner_scan_refuses_a_b_vector(self, b):
         with pytest.raises(ValueError, match="takes no b-vector"):
