@@ -99,7 +99,8 @@ class Matrix:
             self._check_dim(other)
             cols = tuple(zip(*other.rows))
             return Matrix._of(tuple(
-                [tuple([sum(a * b for a, b in zip(row, col)) for col in cols]) for row in self.rows]
+                [tuple([sum(a * b for a, b in zip(row, col)) for col in cols])
+                 for row in self.rows]
             ))
         return Matrix([[a * other for a in row] for row in self.rows])
 
@@ -115,7 +116,8 @@ class Matrix:
         # a Fraction is kept in lowest terms, so equal entries have equal integer
         # pairs, and hashing those takes no modular inverse per entry
         if self._hash is None:
-            self._hash = hash(tuple([(x.numerator, x.denominator) for row in self.rows for x in row]))
+            self._hash = hash(tuple([(x.numerator, x.denominator)
+                                     for row in self.rows for x in row]))
         return self._hash
 
     def __repr__(self) -> str:
