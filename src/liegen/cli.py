@@ -273,14 +273,15 @@ def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[dict, int]:
-    report = freeness_scan(args.n, args.t, args.s, args.r, args.b, args.max_syll, args.max_exp)
+    report = freeness_scan(args.n, args.t, args.s, args.r, args.b,
+                           max_syllables=args.max_syll, max_exponent=args.max_exp)
     doc = {
         "n": report.n,
         "parameters": _params_doc(report.parameters),
         "max_syllables": report.max_syllables,
         "max_exponent": report.max_exponent,
         "words_checked": report.words_checked,
-        "collisions": [list(w.syllables) for w in report.collisions],
+        "collisions": report.collisions,
     }
     return doc, (0 if report.clean else 1)
 

@@ -11,7 +11,6 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain
 
 Scalar = int | Fraction
 
@@ -37,10 +36,7 @@ class Matrix:
     __slots__ = ("n", "rows", "_hash")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        rs = tuple(map(tuple, rows))
-        # one pass over the entry types: rows of Fractions need no conversion
-        if set(map(type, chain.from_iterable(rs))) - {Fraction}:
-            rs = tuple(tuple(map(_rat, row)) for row in rs)
+        rs = tuple(tuple(map(_rat, row)) for row in rows)
         n = len(rs)
         if n == 0 or any(len(r) != n for r in rs):
             raise ValueError("matrix must be square and nonempty")
@@ -50,8 +46,8 @@ class Matrix:
 
     @classmethod
     def _of(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "Matrix":
-        """Wrap square rows of Fractions without a check: only for the results of
-        Fraction arithmetic on Matrix entries, which are Fractions already."""
+        """Wrap square rows of Fractions without a check: only for rows the library
+        computed by Fraction arithmetic on checked input, which are Fractions already."""
         m = object.__new__(cls)
         m.n, m.rows, m._hash = len(rows), rows, None
         return m
@@ -99,7 +95,7 @@ class Matrix:
             self._check_dim(other)
             cols = tuple(zip(*other.rows))
             return Matrix._of(tuple(
-                [tuple([sum(a * b for a, b in zip(row, col)) for col in cols])
+                [tuple([sum([a * b for a, b in zip(row, col)]) for col in cols])
                  for row in self.rows]
             ))
         return Matrix([[a * other for a in row] for row in self.rows])

@@ -25,7 +25,7 @@ def exp_upper(t: Scalar, n: int) -> Matrix:
     terms = [Fraction(1)]  # t^d/d!, each from the one before
     for d in range(1, n):
         terms.append(terms[-1] * t / d)
-    return Matrix([[Fraction(0)] * i + terms[:n - i] for i in range(n)])
+    return Matrix._of(tuple([(Fraction(0),) * i + tuple(terms[:n - i]) for i in range(n)]))
 
 
 def exp_corner(s: Scalar, n: int) -> Matrix:
@@ -40,32 +40,14 @@ def exp_lower(r: Scalar, b: Sequence[Scalar]) -> Matrix:
     n, r = len(b) + 1, _rat(r)
     c = lower_coefficients(bvector(b, n))
     scale = [r**d / math.factorial(d) for d in range(n)]
-    return Matrix([[x * f for x, f in zip(c[j], scale)][::-1] + [Fraction(0)] * (n - j)
-                   for j in range(1, n + 1)])
-
-
-class Word(namedtuple("Word", "syllables")):
-    """Reduced alternating word in two generator symbols "A" and "B"."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: both check
-
-    def __new__(cls, syllables: tuple[tuple[str, int], ...]) -> Word:
-        prev = None
-        for gen, exp in syllables:
-            if gen not in ("A", "B"):
-                raise ValueError(f"unknown generator symbol {gen!r}")
-            if exp == 0:
-                raise ValueError("zero exponent in word")
-            if gen == prev:
-                raise ValueError("word is not reduced: repeated generator")
-            prev = gen
-        return super().__new__(cls, syllables)
+    return Matrix._of(tuple([tuple([x * f for x, f in zip(c[j], scale)][::-1])
+                             + (Fraction(0),) * (n - j) for j in range(1, n + 1)]))
 
 
 class ScanReport(namedtuple("ScanReport", "n max_syllables max_exponent words_checked "
                                           "collisions parameters")):
-    """Result of an exhaustive identity scan over reduced words."""
+    """Result of an exhaustive identity scan over reduced words; each collision
+    is a tuple of syllables (generator symbol "A" or "B", nonzero exponent)."""
 
     __slots__ = ()
 
@@ -86,8 +68,9 @@ def freeness_scan(
     s: Scalar | None = None,
     r: Scalar | None = None,
     b: Sequence[Scalar] | None = None,
-    max_syllables: int = 4,
-    max_exponent: int = 2,
+    *,
+    max_syllables: int,
+    max_exponent: int,
 ) -> ScanReport:
     """Find every reduced word up to the given size that equals the identity.
 
@@ -100,8 +83,9 @@ def freeness_scan(
     syllables as w = u v with ceil(l/2) syllables in u.  Then w = 1 exactly
     when prod(u) = prod(v)^-1, and prod(v)^-1 is the product of the mirror
     of v (reversed, exponents negated), itself a reduced word of floor(l/2)
-    syllables.  So one table of the exact products of all reduced words of
-    up to ceil(L/2) syllables serves both halves, and no matrix is inverted.
+    syllables.  So one table per length h of the exact products of the
+    reduced words of h syllables, for h up to ceil(L/2), serves both halves,
+    and no matrix is inverted.
     The collisions come in depth-first order (A before B, exponents
     ascending, a word before its extensions), and ``words_checked`` counts
     every reduced word of 1 to L syllables, in closed form.
@@ -141,44 +125,45 @@ def freeness_scan(
                            for j, col in enumerate(zip(*m.rows))]
                      for syl, m in syllable_mats.items()}
 
-    # (length, product) -> the reduced words of that length with that product;
+    # levels[h]: product -> the reduced words of h syllables with that product;
     # level h extends each entry of level h - 1 by each syllable, with one
     # product for all of the entry's words that end in the other generator;
     # its rows are sums of Fractions, so Matrix._of takes them unchecked
-    table: dict[tuple[int, Matrix], list[tuple]] = {(0, Matrix.identity(n)): [()]}
+    levels: list[dict[Matrix, list[tuple]]] = [{Matrix.identity(n): [()]}]
     for h in range(1, half + 1):
-        for (k, prod), words in list(table.items()):
-            if k != h - 1:
-                continue
+        level: dict[Matrix, list[tuple]] = {}
+        for prod, words in levels[h - 1].items():
             for syl, cols in syllable_cols.items():
                 longer = [w + (syl,) for w in words if not w or w[-1][0] != syl[0]]
                 if longer:
                     prod_m = Matrix._of(tuple([tuple([sum([row[i] * x for i, x in col], row[j])
                                                       for j, col in enumerate(cols)])
                                                for row in prod.rows]))
-                    table.setdefault((h, prod_m), []).extend(longer)
+                    level.setdefault(prod_m, []).extend(longer)
+        levels.append(level)
 
     hits = []
-    for (h, prod), heads in table.items():
+    for h in range(1, half + 1):
         # each head u of h syllables, then the mirror of a tail of h - 1 or h
         # syllables with the same product; the generator changes at the join
-        for k in (h - 1, h):
-            if h == 0 or h + k > max_syllables:
-                continue
-            for tail in table.get((k, prod), ()):
-                mirror = tuple((g, -e) for g, e in reversed(tail))
-                hits += [u + mirror for u in heads if not tail or u[-1][0] != tail[-1][0]]
-                if len(hits) > MAX_HALF_WORDS:
-                    raise ValueError(
-                        f"more than {MAX_HALF_WORDS} identity words exceed the work cap"
-                    )
+        for prod, heads in levels[h].items():
+            for k in (h - 1, h):
+                if h + k > max_syllables:
+                    continue
+                for tail in levels[k].get(prod, ()):
+                    mirror = tuple((g, -e) for g, e in reversed(tail))
+                    hits += [u + mirror for u in heads if not tail or u[-1][0] != tail[-1][0]]
+                    if len(hits) > MAX_HALF_WORDS:
+                        raise ValueError(
+                            f"more than {MAX_HALF_WORDS} identity words exceed the work cap"
+                        )
 
     return ScanReport(
         n=n,
         max_syllables=max_syllables,
         max_exponent=max_exponent,
         words_checked=sum(2 * (2 * max_exponent) ** k for k in range(1, max_syllables + 1)),
-        collisions=[Word(w) for w in sorted(hits)],
+        collisions=sorted(hits),
         parameters=params,
     )
 

@@ -20,7 +20,7 @@ from liegen.generators import (
     CriterionResult,
     g2_pair,
 )
-from liegen.groups import Word, exp_corner, exp_lower, exp_upper
+from liegen.groups import exp_corner, exp_lower, exp_upper
 from liegen.pingpong import S0, compute_r0, compute_t0
 
 
@@ -163,11 +163,13 @@ def exp_nilpotent(m: Matrix, t: Scalar) -> Matrix:
 
 
 def word_eval(
-    word: Word, gen_a: Callable[[int], Matrix], gen_b: Callable[[int], Matrix]
+    word: Sequence[tuple[str, int]], gen_a: Callable[[int], Matrix],
+    gen_b: Callable[[int], Matrix],
 ) -> Matrix:
-    """Product of the word's syllables, left to right; gen_a(0) is the identity."""
+    """Product of the word's syllables (symbol, exponent), left to right;
+    gen_a(0) is the identity."""
     maps = {"A": gen_a, "B": gen_b}
-    return math.prod((maps[g](e) for g, e in word.syllables), start=gen_a(0))
+    return math.prod((maps[g](e) for g, e in word), start=gen_a(0))
 
 
 def power(m: Matrix, k: int) -> Matrix:

@@ -33,7 +33,6 @@ from liegen.generators import (
     type_a_cartan,
 )
 from liegen.groups import (
-    Word,
     exp_corner,
     exp_lower,
     exp_upper,
@@ -277,7 +276,7 @@ def test_acceptance_08_form_preservation():
             for _ in range(length):
                 syls.append((sym, rng.choice([-2, -1, 1, 2])))
                 sym = "B" if sym == "A" else "A"
-            g = word_eval(Word(tuple(syls)), gen_a, gen_b)
+            g = word_eval(syls, gen_a, gen_b)
             if not check_form(g, j):
                 failures.append((n, k, syls))
     finish(8, failures)

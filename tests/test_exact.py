@@ -587,7 +587,7 @@ class TestFloatsRefused:
         lambda: Matrix([[0.5]]),
         lambda: Polynomial([0.1, 1]),
         lambda: bvector([0.5], 2),
-        lambda: freeness_scan(2, t=0.5, s=1),
+        lambda: freeness_scan(2, t=0.5, s=1, max_syllables=4, max_exponent=2),
         lambda: compute_t0(4, 0.5),
         lambda: isolate_largest_positive_root([Polynomial([-2, 1])], 0.5),
     ], ids=["certify_free_dense", "exp_upper", "Matrix", "Polynomial", "bvector",

@@ -1,5 +1,6 @@
 """The result records are immutable named tuples: they compare and hash by
-field, and the ones with rules refuse bad fields when they are built."""
+field, and the two with rules, GeneratorPair and PingPongBound, refuse bad
+fields when they are built, by _make and by _replace."""
 
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ import pytest
 
 from liegen.exact import Matrix, Polynomial, RootBracket
 from liegen.generators import GeneratorPair, shift_matrix, shift_pair
-from liegen.groups import Word
 from liegen.pingpong import PingPongBound, certify_free_dense, compute_t0
 
 
@@ -34,19 +34,15 @@ def test_bad_fields_are_refused(build, error, message):
      ValueError, "generator is not nilpotent"),
     (lambda: GeneratorPair._make((3, shift_matrix(3), shift_matrix(4), "corner", None)),
      ValueError, "generator dimension mismatch"),
-    (lambda: Word((("A", 1),))._replace(syllables=(("A", 1), ("A", 2))),
-     ValueError, "word is not reduced"),
-    (lambda: Word._make([(("B", 0),)]), ValueError, "zero exponent"),
-], ids=["replace-safe-value", "make-bound", "replace-second", "make-pair",
-        "replace-syllables", "make-word"])
+], ids=["replace-safe-value", "make-bound", "replace-second", "make-pair"])
 def test_make_and_replace_keep_the_checks(build, error, message):
     with pytest.raises(error, match=message):
         build()
 
 
 @pytest.mark.parametrize("record", [
-    shift_pair(3), compute_t0(4), Word((("A", 1), ("B", -2))),
-], ids=["GeneratorPair", "PingPongBound", "Word"])
+    shift_pair(3), compute_t0(4),
+], ids=["GeneratorPair", "PingPongBound"])
 def test_make_and_replace_rebuild_a_good_record(record):
     assert type(record)._make(record) == record
     assert record._replace() == record
@@ -57,9 +53,8 @@ def test_make_and_replace_rebuild_a_good_record(record):
 @pytest.mark.parametrize("record", [
     shift_pair(3),
     compute_t0(3),
-    Word((("A", 1), ("B", -2))),
     certify_free_dense(3, "corner", 100, s=3),
-], ids=["GeneratorPair", "PingPongBound", "Word", "Certificate"])
+], ids=["GeneratorPair", "PingPongBound", "Certificate"])
 def test_attributes_cannot_be_assigned(record):
     field = record._fields[0]
     with pytest.raises(AttributeError):
@@ -69,8 +64,6 @@ def test_attributes_cannot_be_assigned(record):
 
 
 def test_records_compare_and_hash_by_field():
-    assert Word((("A", 1),)) == Word((("A", 1),))
-    assert hash(Word((("A", 1),))) == hash(Word((("A", 1),)))
     assert shift_pair(4) == GeneratorPair(n=4, first=shift_matrix(4),
                                           second=Matrix.unit(4, 4, 1), family="corner")
     lo, hi = RootBracket(Fraction(1), Fraction(2))
