@@ -166,6 +166,30 @@ class TestFreenessScan:
         for w in rep.collisions:
             assert word_eval(w, gen_a, gen_b) == Matrix.identity(2)
 
+    # t s = 1 and t s = 2 at n = 2: scans with 36 and 12 collisions, whose
+    # syllable tuples must be words the scan built reduced
+    COLLIDING = [dict(t=1, s=1), dict(t=1, s=2)]
+
+    @pytest.mark.parametrize("params", COLLIDING, ids=["ts1", "ts2"])
+    def test_collisions_have_no_zero_exponent(self, params):
+        rep = freeness_scan(2, **params, max_syllables=6, max_exponent=2)
+        assert rep.collisions
+        assert all(0 < abs(e) <= 2 for w in rep.collisions for _, e in w)
+
+    @pytest.mark.parametrize("params", COLLIDING, ids=["ts1", "ts2"])
+    def test_collisions_are_reduced(self, params):
+        rep = freeness_scan(2, **params, max_syllables=6, max_exponent=2)
+        assert rep.collisions
+        for w in rep.collisions:
+            assert type(w) is tuple and 1 <= len(w) <= 6
+            assert all(a[0] != b[0] for a, b in zip(w, w[1:]))
+
+    @pytest.mark.parametrize("params", COLLIDING, ids=["ts1", "ts2"])
+    def test_collisions_use_only_known_symbols(self, params):
+        rep = freeness_scan(2, **params, max_syllables=6, max_exponent=2)
+        assert rep.collisions
+        assert {g for w in rep.collisions for g, _ in w} == {"A", "B"}
+
     def test_lower_variant(self):
         rep = freeness_scan(4, t=8, r=2, b=(8, 12, 14),
                             max_syllables=3, max_exponent=1)
