@@ -24,7 +24,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from . import __version__
-from .exact import DEFAULT_WIDTH, Matrix, Polynomial, RootBracket
+from .exact import DEFAULT_WIDTH, Matrix, Polynomial, RootBracket, bracket_width
 from .generators import FAMILIES, build_pair, bvector, doubling_bvector
 from .closure import classify, subalgebra_closure
 from .pingpong import (
@@ -142,9 +142,9 @@ def _source(name: str) -> Iterator[None]:
 
 def read_inputs(args: argparse.Namespace) -> None:
     """Check every input in place, before any work: refuse a flag the invocation
-    does not read, require --n and the ``exp`` kind's parameter, and make --t,
-    --s, --r, --width exact, --b a b-vector (absent or "doubling": the doubling
-    vector), a family's --n its size and the ``closure`` files matrices."""
+    does not read, require the ``exp`` kind's parameter, and make --t, --s, --r
+    exact, --width a bracket width, --b a b-vector (absent or "doubling": the
+    doubling vector), a family's --n its size and the ``closure`` files matrices."""
     if args.command == "closure":
         args.matrices = []
         for path in args.files:
@@ -181,13 +181,13 @@ def read_inputs(args: argparse.Namespace) -> None:
     if args.command == "exp" and getattr(args, name) is None:
         raise ValueError(f"--{name} is required for kind {args.kind}")
     if "family" in args:
-        if args.n is None and not fam.fixed_b:
-            raise ValueError("--n is required for this family")
-        args.n = fam.size(args.n)
+        with _source("--n"):
+            args.n = fam.size(args.n)
     for flag in ("t", "s", "r", "width"):
         if getattr(args, flag, None) is not None:
             with _source(f"--{flag}"):
-                setattr(args, flag, read_number(getattr(args, flag)))
+                x = read_number(getattr(args, flag))
+                setattr(args, flag, bracket_width(x) if flag == "width" else x)
     if "b" in used:
         with _source("--b"):
             b = None if args.b in (None, "doubling") else [
@@ -312,38 +312,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     aliases = {f.alias: f.name for f in FAMILIES.values()}
-    bounded = [f.name for f in FAMILIES.values() if f.second]
 
-    def family_arg(p: argparse.ArgumentParser, choices=None) -> None:
-        p.add_argument(
-            "--family",
-            required=True,
-            type=lambda v: aliases.get(v, v),
-            choices=choices or list(FAMILIES),
-        )
+    def family_command(name: str, help_text: str, func, bounded: bool = False):
+        """A command on a family's pair: --family, --n, --b, and with ``bounded``
+        --width and only the families with certified bounds."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--family", required=True, type=lambda v: aliases.get(v, v),
+                       choices=[f.name for f in FAMILIES.values() if f.second or not bounded])
+        p.add_argument("--n", type=int)
+        p.add_argument("--b", help='"doubling" or comma list like 8,12,14')
+        if bounded:
+            p.add_argument("--width", default=str(DEFAULT_WIDTH))
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen", help="print a generator pair")
-    family_arg(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--b", help='"doubling" or comma list like 8,12,14')
-    p.set_defaults(func=cmd_gen)
+    family_command("gen", "print a generator pair", cmd_gen)
 
     p = sub.add_parser("closure", help="closure and type of matrices from files")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_closure)
 
-    p = sub.add_parser("classify", help="closure and type of a named family")
-    family_arg(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--b")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("bounds", help="certified ping-pong bounds")
-    family_arg(p, choices=bounded)
-    p.add_argument("--n", type=int)
-    p.add_argument("--b")
-    p.add_argument("--width", default=str(DEFAULT_WIDTH))
-    p.set_defaults(func=cmd_bounds)
+    family_command("classify", "closure and type of a named family", cmd_classify)
+    family_command("bounds", "certified ping-pong bounds", cmd_bounds, bounded=True)
 
     p = sub.add_parser("exp", help="exact exponential of a generator")
     p.add_argument("--kind", required=True, choices=["upper", "corner", "lower"])
@@ -354,15 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b")
     p.set_defaults(func=cmd_exp)
 
-    p = sub.add_parser("certify", help="free-dense certificate")
-    family_arg(p, choices=bounded)
-    p.add_argument("--n", type=int)
+    p = family_command("certify", "free-dense certificate", cmd_certify, bounded=True)
     p.add_argument("--t", required=True)
     p.add_argument("--s")
     p.add_argument("--r")
-    p.add_argument("--b")
-    p.add_argument("--width", default=str(DEFAULT_WIDTH))
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("scan", help="exhaustive word identity scan")
     p.add_argument("--n", type=int, required=True)

@@ -131,15 +131,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.rows)
 
-    def nilpotency_index(self) -> int | None:
-        """Smallest k with M^k = 0, or None if M^n != 0."""
-        power = Matrix.identity(self.n)
-        for k in range(1, self.n + 1):
-            power = power * self
-            if power.is_zero():
-                return k
-        return None
-
     def flatten(self) -> tuple[Fraction, ...]:
         """Row-major flattening to a vector of length n^2."""
         return tuple(x for row in self.rows for x in row)
@@ -237,11 +228,6 @@ class Polynomial:
         self._den = den = math.lcm(*(c.denominator for c in cs))
         self._ints = tuple(c.numerator * (den // c.denominator) for c in cs)
 
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
-
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -293,6 +279,17 @@ def _scaled_value(ints: Sequence[int], num: int, shift: int) -> int:
     return acc
 
 
+def bracket_width(width: Scalar) -> Fraction:
+    """width as an exact root bracket width; ValueError unless it is positive and
+    at least MIN_WIDTH."""
+    width = _rat(width)
+    if width <= 0:
+        raise ValueError("root bracket width must be positive")
+    if width < MIN_WIDTH:
+        raise ValueError("root bracket width must be at least 2^-256")
+    return width
+
+
 def isolate_largest_positive_root(
     polys: Iterable[Polynomial], width: Fraction = DEFAULT_WIDTH
 ) -> RootBracket | None:
@@ -310,11 +307,7 @@ def isolate_largest_positive_root(
     one p is live, ``_refine`` takes its bracket to the final level in far fewer
     steps.  Each sign is one integer sum with shifts over the cleared coefficients.
     """
-    width = _rat(width)
-    if width <= 0:
-        raise ValueError("root bracket width must be positive")
-    if width < MIN_WIDTH:
-        raise ValueError("root bracket width must be at least 2^-256")
+    width = bracket_width(width)
     live = []
     for p in polys:
         if p.is_zero():

@@ -90,7 +90,8 @@ def lookup_family(name: str) -> Family:
 
 
 class GeneratorPair(namedtuple("GeneratorPair", "n first second family b")):
-    """A pair of nilpotent matrices generating a Lie algebra."""
+    """A pair of nilpotent matrices generating a Lie algebra; each has m^k = 0
+    for some k <= n."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: both check
@@ -100,8 +101,11 @@ class GeneratorPair(namedtuple("GeneratorPair", "n first second family b")):
         for m in (first, second):
             if m.n != n:
                 raise ValueError("generator dimension mismatch")
-            if m.nilpotency_index() is None:
-                raise ValueError("generator is not nilpotent")
+            power, k = m, 1  # m^k = 0 for some k <= n: stop at the first zero power
+            while not power.is_zero():
+                if k == n:
+                    raise ValueError("generator is not nilpotent")
+                power, k = power * m, k + 1
         return super().__new__(cls, n, first, second, family, b)
 
 

@@ -253,6 +253,15 @@ class TestThin:
         assert code == 1 and doc["warning"]
 
 
+def refuse_work(monkeypatch):
+    """Make building a certify pair or a bounds t0 raise, so that an invocation
+    refused before any work still exits 2 and one refused later exits 3."""
+    def work(*args, **kwargs):
+        raise RuntimeError("work began before the inputs were checked")
+    monkeypatch.setattr(pingpong, "build_pair", work)
+    monkeypatch.setattr(cli, "compute_t0", work)
+
+
 def run_bad(capsys, *args):
     """Exit code of an invocation that must fail as bad input, with its message."""
     code = main(list(args))
@@ -352,18 +361,22 @@ class TestBadInput:
         ["bounds", "--family", "corner", "--n", "4"],
         ["certify", "--family", "corner", "--n", "4", "--t", "8", "--s", "3"],
     ])
-    def test_width_not_positive_exits_2(self, capsys, argv, width):
+    def test_width_not_positive_exits_2(self, capsys, monkeypatch, argv, width):
+        refuse_work(monkeypatch)
         code, err = run_bad(capsys, *argv, f"--width={width}")
-        assert code == 2 and "width must be positive" in err
+        assert code == 2 and err.startswith("liegen: error: --width: ")
+        assert "width must be positive" in err
 
     @pytest.mark.parametrize("width", ["1e-2000", "1e-4200", str(Fraction(1, 2**257))])
     @pytest.mark.parametrize("argv", [
         ["bounds", "--family", "corner", "--n", "40"],
         ["certify", "--family", "corner", "--n", "7", "--t", "20", "--s", "3"],
     ])
-    def test_width_below_minimum_exits_2(self, capsys, argv, width):
+    def test_width_below_minimum_exits_2(self, capsys, monkeypatch, argv, width):
+        refuse_work(monkeypatch)
         code, err = run_bad(capsys, *argv, f"--width={width}")
-        assert code == 2 and "width must be at least 2^-256" in err
+        assert code == 2 and err.startswith("liegen: error: --width: ")
+        assert "width must be at least 2^-256" in err
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--family", "g2"],
@@ -381,7 +394,7 @@ class TestBadInput:
     @pytest.mark.parametrize("command", ["classify", "bounds"])
     def test_missing_n_exits_2(self, capsys, command):
         code, err = run_bad(capsys, command, "--family", "lower")
-        assert code == 2 and "--n is required" in err
+        assert code == 2 and err == "liegen: error: --n: the lower family requires n\n"
 
     @pytest.mark.parametrize("argv,flag", [
         (["gen", "--family", "corner", "--n", "4", "--b", "0,1"], "--b"),

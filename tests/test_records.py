@@ -11,18 +11,48 @@ from liegen.generators import GeneratorPair, shift_matrix, shift_pair
 from liegen.pingpong import PingPongBound, certify_free_dense, compute_t0
 
 
+def not_nilpotent(second):
+    """A pair whose second generator is refused as not nilpotent."""
+    return (lambda: GeneratorPair(second.n, shift_matrix(second.n), second, "corner"),
+            ValueError, "generator is not nilpotent")
+
+
+def conjugate(m, p, p_inverse):
+    assert p * p_inverse == Matrix.identity(m.n)
+    return p * m * p_inverse
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: GeneratorPair(3, shift_matrix(3), Matrix.identity(3), "corner"),
      ValueError, "generator is not nilpotent"),
+    not_nilpotent(Matrix.identity(7)),
+    not_nilpotent(Matrix.unit(5, 5, 5)),  # diag(0, ..., 0, 1)
+    not_nilpotent(Matrix.identity(4) + Matrix.unit(4, 1, 2)),
+    not_nilpotent(shift_matrix(5) + Matrix.unit(5, 5, 1)),  # its 5th power is I
     (lambda: GeneratorPair(3, shift_matrix(3), shift_matrix(4), "corner"),
      ValueError, "generator dimension mismatch"),
     (lambda: PingPongBound("t_bound", (Polynomial([-2, 1]),),
                            RootBracket(Fraction(2), Fraction(3)), Fraction(5, 2)),
      AssertionError, "bracket exceeds safe_value"),
-], ids=["not-nilpotent", "two-sizes", "bracket-above-safe-value"])
+], ids=["not-nilpotent", "identity-7", "last-diagonal-unit", "unipotent", "cyclic-shift",
+        "two-sizes", "bracket-above-safe-value"])
 def test_bad_fields_are_refused(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+@pytest.mark.parametrize("second", [
+    Matrix([[2, -4], [1, -2]]),
+    # the 4x4 shift conjugated by a unimodular integer matrix and its inverse
+    conjugate(shift_matrix(4),
+              Matrix([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1], [0, 0, 1, 1]]),
+              Matrix([[0, 0, 1, -1], [1, 0, -1, 1], [-1, 1, 1, -1], [1, -1, -1, 2]])),
+    shift_pair(6).second,
+    Matrix([[0] * 3] * 3),
+], ids=["rank-one-2x2", "conjugated-shift", "corner-index-2", "zero"])
+def test_nilpotent_generators_are_accepted(second):
+    """Nilpotent, so accepted, also when not triangular: m^k = 0 for some k <= n."""
+    assert GeneratorPair(second.n, shift_matrix(second.n), second, "corner").second == second
 
 
 @pytest.mark.parametrize("build, error, message", [
