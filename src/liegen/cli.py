@@ -142,9 +142,10 @@ def _source(name: str) -> Iterator[None]:
 
 def read_inputs(args: argparse.Namespace) -> None:
     """Check every input in place, before any work: refuse a flag the invocation
-    does not read, require the ``exp`` kind's parameter, and make --t, --s, --r
-    exact, --width a bracket width, --b a b-vector (absent or "doubling": the
-    doubling vector), a family's --n its size and the ``closure`` files matrices."""
+    does not read, require the ``exp`` kind's or the ``certify`` family's
+    parameter, and make --t, --s, --r exact, --width a bracket width, --b a
+    b-vector (absent or "doubling": the doubling vector), a family's --n its size
+    (a size of its pair, outside ``bounds``) and the ``closure`` files matrices."""
     if args.command == "closure":
         args.matrices = []
         for path in args.files:
@@ -174,15 +175,16 @@ def read_inputs(args: argparse.Namespace) -> None:
         used, what = ("t", "s", "r", "b" if lower else ""), "a scan without --r"
     else:
         fam = FAMILIES[args.family]
-        used, what = ("t", fam.second, "b" if fam.takes_b else ""), f"the {fam.alias} family"
+        name = fam.second
+        used, what = ("t", name, "b" if fam.takes_b else ""), f"the {fam.alias} family"
     for flag in ("t", "s", "r", "b"):
         if flag not in used and getattr(args, flag, None) is not None:
             raise ValueError(f"--{flag} does not apply to {what}")
-    if args.command == "exp" and getattr(args, name) is None:
-        raise ValueError(f"--{name} is required for kind {args.kind}")
+    if args.command in ("exp", "certify") and getattr(args, name) is None:
+        raise ValueError(f"--{name} is required for {what}")
     if "family" in args:
         with _source("--n"):
-            args.n = fam.size(args.n)
+            args.n = fam.size(args.n) if args.command == "bounds" else fam.check(args.n)
     for flag in ("t", "s", "r", "width"):
         if getattr(args, flag, None) is not None:
             with _source(f"--{flag}"):
@@ -246,7 +248,8 @@ def cmd_exp(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
-    cert = certify_free_dense(args.n, args.family, args.t, args.s, args.r, args.b, args.width)
+    second = getattr(args, FAMILIES[args.family].second)
+    cert = certify_free_dense(args.n, args.family, args.t, second, args.b, args.width)
     doc = {
         "tool_version": __version__,
         "input": {

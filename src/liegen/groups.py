@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .exact import Matrix, Scalar, _rat
-from .generators import bvector, lower_coefficients
+from .generators import FAMILIES, FAMILY_CORNER, bvector, lower_coefficients
 from .pingpong import compute_t0, freeness_warning
 
 
@@ -179,17 +179,17 @@ def thin_pair(n: int, q: int, s: int) -> ThinPair:
 
     Certified (free, hence thin by the congruence subgroup property) when
     t and s pass ``freeness_warning``, the ping-pong test that
-    ``certify_free_dense`` makes; otherwise emitted with its warning.
+    ``certify_free_dense`` makes; otherwise emitted with its warning.  n is a
+    size of the corner pair, whose exponentials these are.
     """
-    if n <= 2:
-        raise ValueError("thin pairs require n > 2")
+    n = FAMILIES[FAMILY_CORNER].check(n)
     if q == 0:
         raise ValueError("q must be nonzero")
     t = math.factorial(n - 1) * q
     a = exp_upper(t, n)
     bmat = exp_corner(s, n)
     assert all(x.denominator == 1 for x in a.flatten())
-    warning = freeness_warning(t, compute_t0(n), "s", s)
+    warning = freeness_warning(t, compute_t0(n), s)
     return ThinPair(
         n=n, t=t, s=s, first=a, second=bmat,
         certified=warning is None, warning=warning,

@@ -42,10 +42,9 @@ def t_inequality(n: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def r_inequalities(n: int, b: Sequence[Scalar]) -> list[Polynomial]:
-    """The n-1 polynomials whose joint positivity at |r| gives c(r)^m X1 in X2.
-
-    For each 1 <= j <= n-1 the polynomial is
+def r_inequalities(b: Sequence[Scalar]) -> list[Polynomial]:
+    """The n-1 polynomials, n = len(b) + 1, whose joint positivity at |r| gives
+    c(r)^m X1 in X2.  For each 1 <= j <= n-1 the polynomial is
 
         R^{n-1}/(n-1)! |c_{n-1,n}| - sum_{i=2}^n R^{n-i}/(n-i)! |c_{n-i,n}|
             - sum_{i=1}^j |c_{j-i,j}| R^{j-i}/(j-i)!
@@ -57,6 +56,7 @@ def r_inequalities(n: int, b: Sequence[Scalar]) -> list[Polynomial]:
     only where d! leaves a remainder, and the lcm of a polynomial's reduced
     denominators scales it to integers.
     """
+    n = len(b) + 1
     c = lower_coefficients([abs(x.numerator) if x.denominator == 1 else abs(x)
                             for x in bvector(b, n)])
     fact = [math.factorial(d) for d in range(n)]
@@ -111,9 +111,9 @@ def compute_t0(n: int, width: Fraction = DEFAULT_WIDTH) -> PingPongBound:
     return _bound_from_polys("t_bound", [t_inequality(n)], width)
 
 
-def compute_r0(n: int, b: Sequence[Scalar], width: Fraction = DEFAULT_WIDTH) -> PingPongBound:
-    """Certified threshold for the c(r)^m X1 in X2 inclusion."""
-    return _bound_from_polys("r_bound", r_inequalities(n, b), width)
+def compute_r0(b: Sequence[Scalar], width: Fraction = DEFAULT_WIDTH) -> PingPongBound:
+    """Certified threshold for the c(r)^m X1 in X2 inclusion, n = len(b) + 1."""
+    return _bound_from_polys("r_bound", r_inequalities(b), width)
 
 
 def second_bound(
@@ -126,14 +126,15 @@ def second_bound(
         raise ValueError(f"family {family!r} has no certified ping-pong bounds")
     n = fam.size(n)
     b = fam.read_b(b, n)
-    return None if fam.second == "s" else compute_r0(n, b, width)
+    return None if fam.second == "s" else compute_r0(b, width)
 
 
-def freeness_warning(t: Scalar, t_bound: PingPongBound, name: str, x: Scalar,
+def freeness_warning(t: Scalar, t_bound: PingPongBound, x: Scalar,
                      bound: PingPongBound | None = None) -> str | None:
-    """Ping-pong test (Tits 1972) of t and x, the parameter ``name``: None when |t| > t0
-    and |x| > x0 (``bound``'s safe value, else S0); else a warning on the first that fails."""
-    x0, what = (S0, "s0 =") if bound is None else (bound.safe_value, "the certified bound")
+    """Ping-pong test (Tits 1972) of t and x, which is r with ``bound`` (r0) and s
+    without (S0): None when |t| > t0 and |x| > x0; else a warning on the first that fails."""
+    name, x0, what = ("s", S0, "s0 =") if bound is None else (
+        "r", bound.safe_value, "the certified bound")
     if abs(t) <= t_bound.safe_value:
         return f"|t| = {abs(t)} does not exceed the certified bound {t_bound.safe_value}"
     if abs(x) <= x0:
@@ -158,28 +159,23 @@ def certify_free_dense(
     n: int,
     family: str,
     t: Scalar,
-    s: Scalar | None = None,
-    r: Scalar | None = None,
+    second: Scalar,
     b: Sequence[Scalar] | None = None,
     width: Fraction = DEFAULT_WIDTH,
 ) -> Certificate:
-    """Certify that <exp(t x), exp(s y)> (or c(r)) is free and Zariski dense.
+    """Certify that <exp(t x), exp(s y)> (or c(r)) is free and Zariski dense;
+    ``second`` is the value of s or r, the parameter that ``Family.second`` names.
 
     Density: the type ``classify`` names for the exact closure of the pair is
     the target; freeness: the parameters pass ``freeness_warning``'s test.
     ``insufficient`` is a valid outcome, never an error.
     """
-    t = _rat(t)
+    t, second = _rat(t), _rat(second)
     fam = lookup_family(family)
-    second = fam.second
-    given = {k: v for k, v in (("s", s), ("r", r)) if v is not None}
-    if second is not None and list(given) != [second]:
-        raise ValueError(f"the {family} family takes the parameter {second} alone")
     n = fam.check(n)
     bound = second_bound(family, n, b, width)
-    second_val = _rat(given[second])
     pair = build_pair(family, n, b)
-    params: dict = {"t": t, second: second_val}
+    params: dict = {"t": t, fam.second: second}
     if pair.b is not None:
         params["b"] = pair.b
 
@@ -187,8 +183,8 @@ def certify_free_dense(
     label = classify(n, closure.dim)
     target = predicted_type(family, n)
     t_bound = compute_t0(n, width)
-    density_ok = label == target and t != 0 and second_val != 0
-    freeness_ok = freeness_warning(t, t_bound, second, second_val, bound) is None
+    density_ok = label == target and t != 0 and second != 0
+    freeness_ok = freeness_warning(t, t_bound, second, bound) is None
     conclusion = (CONCLUSION_INSUFFICIENT if not density_ok else
                   CONCLUSION_FREE_DENSE if freeness_ok else CONCLUSION_DENSE_ONLY)
 

@@ -236,7 +236,7 @@ def pingpong_spotcheck(
         bound, source, target = S0, X1, X2
         powered = lambda m: exp_corner(m * parameter, n)
     elif kind == "c":
-        bound, source, target = compute_r0(n, b).safe_value, X1, X2
+        bound, source, target = compute_r0(b).safe_value, X1, X2
         powered = lambda m: exp_lower(m * parameter, b)
     else:
         raise ValueError(f"unknown generator kind {kind!r}")

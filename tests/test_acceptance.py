@@ -134,13 +134,13 @@ def test_acceptance_03_bounds_reproduced():
     b7 = compute_t0(7).bracket
     if not (b7.lo < Fraction(167, 10) and b7.hi > Fraction(165, 10)):
         failures.append("t0(7) bracket misses (16.5, 16.7)")
-    r4 = compute_r0(4, (8, 12, 14))
+    r4 = compute_r0((8, 12, 14))
     if not (Fraction(7, 10) < r4.bracket.lo and r4.bracket.hi < Fraction(8, 10)):
         failures.append("r0(4) bracket outside (0.7, 0.8)")
     if r4.safe_value > 1:
         failures.append("r0(4) safe_value > 1")
     want_r = [(-2, -14, -84, 224), (-2, -22, -84, 224), (-2, -26, -132, 224)]
-    got_r = [p.integer_coefficients() for p in r_inequalities(4, (8, 12, 14))]
+    got_r = [p.integer_coefficients() for p in r_inequalities((8, 12, 14))]
     if got_r != want_r:
         failures.append(f"r polynomials {got_r} != {want_r}")
     finish(3, failures)

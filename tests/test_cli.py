@@ -254,10 +254,11 @@ class TestThin:
 
 
 def refuse_work(monkeypatch):
-    """Make building a certify pair or a bounds t0 raise, so that an invocation
-    refused before any work still exits 2 and one refused later exits 3."""
+    """Make building a pair or a bounds t0 raise, so that an invocation refused
+    before any work still exits 2 and one refused later exits 3."""
     def work(*args, **kwargs):
         raise RuntimeError("work began before the inputs were checked")
+    monkeypatch.setattr(cli, "build_pair", work)
     monkeypatch.setattr(pingpong, "build_pair", work)
     monkeypatch.setattr(cli, "compute_t0", work)
 
@@ -297,7 +298,7 @@ class TestBadInput:
 
         monkeypatch.setattr(pingpong, "compute_r0", no_bound)
         code, err = run_bad(capsys, "certify", "--family", "lower", "--n", "40", "--t", "1")
-        assert code == 2 and "parameter r alone" in err
+        assert code == 2 and err == "liegen: error: --r is required for the lower family\n"
 
     def test_certify_checks_the_size_before_any_bound(self, capsys, monkeypatch):
         def no_bound(*args, **kwargs):
@@ -307,6 +308,29 @@ class TestBadInput:
         code, err = run_bad(capsys, "certify", "--family", "lower", "--n", "2",
                             "--t", "3", "--r", "1", "--b", "5")
         assert code == 2 and "the lower pair requires n >= 3" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--family", "corner", "--n", "2"], "the corner pair requires n >= 3"),
+        (["classify", "--family", "double_corner", "--n", "3"],
+         "the double_corner pair requires n >= 4"),
+        (["certify", "--family", "lower", "--n", "2", "--b", "5", "--t", "3", "--r", "1"],
+         "the lower pair requires n >= 3"),
+    ], ids=["gen", "classify", "certify"])
+    def test_a_size_without_a_pair_names_the_flag_before_any_work(self, capsys, monkeypatch,
+                                                                  argv, message):
+        refuse_work(monkeypatch)
+        code, err = run_bad(capsys, *argv)
+        assert code == 2 and err == f"liegen: error: --n: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["exp", "--kind", "upper", "--n", "1", "--t", "1"],
+        ["exp", "--kind", "corner", "--n", "1", "--s", "1"],
+        ["bounds", "--family", "corner", "--n", "1"],
+        ["scan", "--n", "1", "--t", "1", "--s", "1"],
+    ], ids=["exp-upper", "exp-corner", "bounds", "scan"])
+    def test_n_below_2_exits_2(self, capsys, argv):
+        code, err = run_bad(capsys, *argv)
+        assert code == 2 and "n must be at least 2" in err
 
     @pytest.mark.parametrize("argv", [
         ["exp", "--kind", "upper", "--n", "3", "--t", "1/0"],
@@ -539,6 +563,11 @@ class TestDigitLimit:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert code == 2 and refused_past_the_limit(err, "--t")
+
+    def test_zero_with_an_exponent_past_the_limit_is_zero(self, capsys):
+        """No digit of 0e99999 passes the limit, so it is read as 0: a(0) = I."""
+        code, doc = run(capsys, "exp", "--kind", "upper", "--n", "3", "--t", "0e99999")
+        assert code == 0 and matrix_from_doc(doc["matrix"]) == Matrix.identity(3)
 
     def test_matrix_file_integer_past_the_limit_exits_2(self, capsys, tmp_path):
         f = tmp_path / "f.json"

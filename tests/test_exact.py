@@ -54,6 +54,10 @@ class TestMatrix:
             assert {type(x) for x in m.flatten()} == {Fraction}
             assert m == e12 and hash(m) == hash(e12)
 
+    def test_unit_out_of_range_refused(self):
+        with pytest.raises(ValueError, match=r"unit index \(3,1\) out of range for n=2"):
+            Matrix.from_units(2, [(3, 1, 1)])
+
     def test_scalar_products_refuse_a_float(self):
         e12 = Matrix.unit(3, 1, 2)
         with pytest.raises(TypeError):
@@ -219,7 +223,7 @@ class TestPolynomial:
         points += [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(40)]
         polys = [Polynomial([]), Polynomial([0]), Polynomial([5]), Polynomial([Fraction(-2, 3)]),
                  Polynomial([0, 0, 1]), t_inequality(12)]
-        polys += r_inequalities(5, (Fraction(3, 2), -4, 7, Fraction(-1, 5)))
+        polys += r_inequalities((Fraction(3, 2), -4, 7, Fraction(-1, 5)))
         for degree in range(1, 15):
             polys.append(Polynomial(
                 [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(degree + 1)]))
@@ -282,6 +286,10 @@ class TestRootIsolation:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             isolate_largest_positive_root([Polynomial([])])
+
+    def test_negative_leading_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="leading coefficient must be positive"):
+            isolate_largest_positive_root([Polynomial([1, -1])])
 
     @pytest.mark.parametrize("w", [0, -1])
     def test_width_must_be_positive(self, w):
@@ -408,7 +416,7 @@ class TestIntegerBisectionMatchesFractionBisection:
         rng = random.Random(9)
         for n in range(3, 13):
             for b in random_b_vectors(rng, n, 2):
-                for p in r_inequalities(n, b):
+                for p in r_inequalities(b):
                     self.check(p, log_width)
 
     @pytest.mark.parametrize("log_width", LOG_WIDTHS)
@@ -451,12 +459,12 @@ class TestJointBisectionMatchesPerPolynomialBisection:
 
     def test_doubling_r_inequalities(self, width):
         for n in range(3, 21):
-            self.check(r_inequalities(n, doubling_bvector(n)), width)
-        self.check(self.SMALL + r_inequalities(20, doubling_bvector(20)), width)
+            self.check(r_inequalities(doubling_bvector(n)), width)
+        self.check(self.SMALL + r_inequalities(doubling_bvector(20)), width)
 
     def test_g2_r_inequalities(self, width):
-        self.check(r_inequalities(7, G2_LOWER_B), width)
-        self.check([t_inequality(7)] + r_inequalities(7, G2_LOWER_B), width)
+        self.check(r_inequalities(G2_LOWER_B), width)
+        self.check([t_inequality(7)] + r_inequalities(G2_LOWER_B), width)
 
     def test_random_b_vectors_and_mixes(self, width):
         rng = random.Random(23)
@@ -466,7 +474,7 @@ class TestJointBisectionMatchesPerPolynomialBisection:
                 b = [rng.choice([-1, 1]) * rng.randint(1, 20) for _ in range(n - 1)]
             else:
                 (b,) = random_b_vectors(rng, n, 1)
-            polys = r_inequalities(n, b)
+            polys = r_inequalities(b)
             self.check(polys, width)
             self.check(self.POSITIVE[:1] + polys + self.POSITIVE[1:], width)
             self.check(polys[::-1] + [t_inequality(n)] + self.SMALL, width)
@@ -486,8 +494,8 @@ class TestDyadicBrackets:
     def test_dyadic_endpoints_below_the_root_bound(self, log_width):
         width = Fraction(1, 2**log_width)
         polys = [t_inequality(n) for n in range(2, 41)]
-        polys += [p for n in range(3, 21) for p in r_inequalities(n, doubling_bvector(n))]
-        polys += r_inequalities(7, G2_LOWER_B)
+        polys += [p for n in range(3, 21) for p in r_inequalities(doubling_bvector(n))]
+        polys += r_inequalities(G2_LOWER_B)
         polys += [Polynomial([-1, 10**6]), Polynomial([-3, 0, 7 * 10**12])]  # e < 0
         for p in polys:
             br = isolate_largest_positive_root([p], width)
@@ -506,7 +514,7 @@ class TestDyadicBrackets:
     def test_g2_r0_takes_21_sign_evaluations(self, monkeypatch):
         # 265 when each of the six polynomials was bisected alone, 50 by one
         # bisection for all six
-        assert sign_evaluations(monkeypatch, r_inequalities(7, G2_LOWER_B)) == 21
+        assert sign_evaluations(monkeypatch, r_inequalities(G2_LOWER_B)) == 21
 
     @pytest.mark.parametrize("n", [40, 200])
     def test_t_inequality_at_the_finest_width_takes_33_sign_evaluations(self, monkeypatch, n):
@@ -577,7 +585,7 @@ class TestFloatsRefused:
     refuses a float: 0.1 or 8.1 would enter as a binary fraction near it."""
 
     @pytest.mark.parametrize("call", [
-        lambda: certify_free_dense(4, FAMILY_CORNER, t=8.1, s=3),
+        lambda: certify_free_dense(4, FAMILY_CORNER, t=8.1, second=3),
         lambda: exp_upper(0.1, 2),
         lambda: Matrix([[0.5]]),
         lambda: Polynomial([0.1, 1]),
@@ -592,7 +600,7 @@ class TestFloatsRefused:
             call()
 
     def test_exact_values_of_the_same_numbers_pass(self):
-        assert certify_free_dense(4, FAMILY_CORNER, t=Fraction(81, 10), s=3).conclusion == \
+        assert certify_free_dense(4, FAMILY_CORNER, t=Fraction(81, 10), second=3).conclusion == \
             "free_dense_certified"
         assert exp_upper(Fraction(1, 10), 2)[1, 2] == Fraction(1, 10)
         bracket = compute_t0(4, Fraction(1, 2)).bracket

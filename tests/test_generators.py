@@ -49,6 +49,10 @@ class TestShiftPair:
         with pytest.raises(ValueError):
             shift_pair(3, FAMILY_DOUBLE_CORNER)
 
+    def test_family_without_a_shift_pair_refused(self):
+        with pytest.raises(ValueError, match="unknown shift family 'lower_bidiagonal'"):
+            shift_pair(4, FAMILY_LOWER)
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_members_nilpotent(self, n):
         for family in (FAMILY_CORNER, FAMILY_DOUBLE_CORNER):
@@ -209,6 +213,8 @@ class TestCriteria:
             prop2_criterion(type_a_cartan(3), (1, 2))
         with pytest.raises(ValueError):
             prop2_criterion(type_a_cartan(2), (1, 0))
+        with pytest.raises(ValueError, match="Cartan matrix must be square"):
+            prop2_criterion([[2, -1]], [1, 2])
 
     def test_prop1(self):
         h = Matrix([[3, 0, 0], [0, 1, 0], [0, 0, -4]])

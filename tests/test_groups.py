@@ -426,6 +426,10 @@ class TestFormPreservation:
             g = word_eval(syls, gen_a, gen_b)
             assert check_form(g, j)
 
+    def test_form_needs_n_at_least_2(self):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            form_matrix(1)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_form_realizes_the_diagram_automorphism(self, n):
         j = form_matrix(n)

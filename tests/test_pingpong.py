@@ -36,10 +36,11 @@ from liegen.pingpong import (
 from paper_oracles import X1, X2, in_region, pingpong_spotcheck
 
 
-def fraction_r_inequalities(n, b):
+def fraction_r_inequalities(b):
     """The r-polynomials with every step in ``Fraction``: the table of
     c_{d,j}, each |c_{d,j}| times 1/d!, and the integers that ``Polynomial``
     clears the sums to, as ``Fraction`` coefficients."""
+    n = len(b) + 1
     c = [[], [Fraction(1)]]
     for x in b:
         c.append([Fraction(1)] + [Fraction(x) * y for y in c[-1]])
@@ -73,7 +74,7 @@ class TestInequalityPolynomials:
         )
 
     def test_r_n4_doubling(self):
-        polys = r_inequalities(4, (8, 12, 14))
+        polys = r_inequalities((8, 12, 14))
         assert [p.integer_coefficients() for p in polys] == [
             (-2, -14, -84, 224),
             (-2, -22, -84, 224),
@@ -81,7 +82,7 @@ class TestInequalityPolynomials:
         ]
 
     def test_r_n2_degenerate(self):
-        (p,) = r_inequalities(2, (3,))
+        (p,) = r_inequalities((3,))
         # |r| b1 - 1 > 1, i.e. 3R - 2 > 0
         assert p == Polynomial([-2, 3])
 
@@ -96,19 +97,17 @@ class TestInequalityPolynomials:
         for n in range(2, 15):
             for _ in range(6):
                 b = [rng.choice((-1, 1)) * draw() for _ in range(n - 1)]
-                assert_same_polys(r_inequalities(n, b), fraction_r_inequalities(n, b))
+                assert_same_polys(r_inequalities(b), fraction_r_inequalities(b))
 
     def test_r_matches_fraction_construction_doubling_and_g2(self):
         for n in range(3, 41):
             b = doubling_bvector(n)
-            assert_same_polys(r_inequalities(n, b), fraction_r_inequalities(n, b))
-        assert_same_polys(r_inequalities(7, G2_LOWER_B), fraction_r_inequalities(7, G2_LOWER_B))
+            assert_same_polys(r_inequalities(b), fraction_r_inequalities(b))
+        assert_same_polys(r_inequalities(G2_LOWER_B), fraction_r_inequalities(G2_LOWER_B))
 
     def test_r_validation(self):
         with pytest.raises(ValueError):
-            r_inequalities(4, (1, 0, 1))
-        with pytest.raises(ValueError):
-            r_inequalities(4, (1, 1))
+            r_inequalities((1, 0, 1))
 
     def test_every_inequality_has_one_sign_change(self):
         """Every coefficient below the leading one is negative, so each
@@ -126,7 +125,7 @@ class TestInequalityPolynomials:
                 lambda: Fraction(rng.randint(1, 40), rng.randint(1, 12)))
             bs.append([rng.choice((-1, 1)) * draw() for _ in range(rng.randint(2, 9))])
         for b in bs:
-            assert all(one_change(p) for p in r_inequalities(len(b) + 1, b)), b
+            assert all(one_change(p) for p in r_inequalities(b)), b
 
 
 class TestBounds:
@@ -145,12 +144,12 @@ class TestBounds:
         assert bound.safe_value <= 17
 
     def test_r0_n4(self):
-        bound = compute_r0(4, doubling_bvector(4))
+        bound = compute_r0(doubling_bvector(4))
         assert 0.7 < float(bound.bracket.lo) and float(bound.bracket.hi) < 0.8
         assert bound.safe_value <= 1
 
     def test_r0_g2(self):
-        bound = compute_r0(7, G2_LOWER_B)
+        bound = compute_r0(G2_LOWER_B)
         assert len(bound.polys) == 6
         assert 16.3 < float(bound.bracket.lo) and float(bound.bracket.hi) < 16.5
         assert bound.safe_value <= 17
@@ -170,8 +169,8 @@ class TestBounds:
     def test_second_bound_per_family(self):
         assert second_bound(FAMILY_CORNER, 5) is None
         b = doubling_bvector(4)
-        assert second_bound(FAMILY_LOWER, 4, b) == compute_r0(4, b)
-        assert second_bound(FAMILY_G2, 7) == compute_r0(7, G2_LOWER_B)
+        assert second_bound(FAMILY_LOWER, 4, b) == compute_r0(b)
+        assert second_bound(FAMILY_G2, 7) == compute_r0(G2_LOWER_B)
         with pytest.raises(ValueError):
             second_bound(FAMILY_LOWER, 4)
         with pytest.raises(ValueError):
@@ -235,34 +234,34 @@ class TestSpotcheck:
 
 class TestCertify:
     def test_corner_n4_certified(self):
-        cert = certify_free_dense(4, FAMILY_CORNER, t=8, s=3)
+        cert = certify_free_dense(4, FAMILY_CORNER, t=8, second=3)
         assert cert.conclusion == CONCLUSION_FREE_DENSE
         assert cert.type_label.name == "C2"
 
     def test_corner_below_bounds(self):
-        cert = certify_free_dense(4, FAMILY_CORNER, t=1, s=1)
+        cert = certify_free_dense(4, FAMILY_CORNER, t=1, second=1)
         assert cert.conclusion == CONCLUSION_DENSE_ONLY
 
     def test_zero_parameter_insufficient(self):
-        cert = certify_free_dense(4, FAMILY_CORNER, t=8, s=0)
+        cert = certify_free_dense(4, FAMILY_CORNER, t=8, second=0)
         assert cert.conclusion == CONCLUSION_INSUFFICIENT
 
     def test_corner_n5_above_safe(self):
         safe = compute_t0(5).safe_value
-        cert = certify_free_dense(5, FAMILY_CORNER, t=safe + 1, s=3)
+        cert = certify_free_dense(5, FAMILY_CORNER, t=safe + 1, second=3)
         assert cert.conclusion == CONCLUSION_FREE_DENSE
         assert cert.type_label.name == "A4"
 
     def test_lower_n4(self):
-        cert = certify_free_dense(4, FAMILY_LOWER, t=9, r=2, b=doubling_bvector(4))
+        cert = certify_free_dense(4, FAMILY_LOWER, t=9, second=2, b=doubling_bvector(4))
         assert cert.conclusion == CONCLUSION_FREE_DENSE
         assert cert.target.name == "A3"
 
     def test_g2(self):
-        cert = certify_free_dense(7, FAMILY_G2, t=18, r=18)
+        cert = certify_free_dense(7, FAMILY_G2, t=18, second=18)
         assert cert.conclusion == CONCLUSION_FREE_DENSE
         assert cert.closure.dim == 14
-        below = certify_free_dense(7, FAMILY_G2, t=18, r=16)
+        below = certify_free_dense(7, FAMILY_G2, t=18, second=16)
         assert below.conclusion == CONCLUSION_DENSE_ONLY
 
     def test_monotone_in_parameters(self):
@@ -273,7 +272,7 @@ class TestCertify:
         }
         last = -1
         for t, s in [(0, 0), (1, 1), (8, 1), (8, 3), (20, 9)]:
-            cert = certify_free_dense(4, FAMILY_CORNER, t=t, s=s)
+            cert = certify_free_dense(4, FAMILY_CORNER, t=t, second=s)
             rank = order[cert.conclusion]
             assert rank >= last
             last = rank
@@ -285,7 +284,7 @@ class TestCertify:
         for q in (-3, -2, -1, 1, 2, 3):
             t = math.factorial(n - 1) * q
             for s in (-3, -2, -1, 0, 1, 2, 3, 5):
-                cert = certify_free_dense(n, FAMILY_CORNER, t=t, s=s)
+                cert = certify_free_dense(n, FAMILY_CORNER, t=t, second=s)
                 assert thin_pair(n, q, s).certified == (
                     cert.conclusion == CONCLUSION_FREE_DENSE), (q, s)
 
@@ -299,9 +298,8 @@ class TestCertify:
         """A certificate says more than ``insufficient`` exactly when the type
         that ``classify`` names is the family's target and t and x are nonzero;
         the lower pair at b = (13, 11, 13) closes to C2, not to its target A3."""
-        name = "s" if family == FAMILY_CORNER else "r"
         for t, x in ((0, 3), (3, 0), (1, 1), (10**4, 10**4)):
-            cert = certify_free_dense(n, family, t=t, b=b, **{name: x})
+            cert = certify_free_dense(n, family, t=t, second=x, b=b)
             named = cert.type_label == cert.target
             assert (cert.conclusion != CONCLUSION_INSUFFICIENT) == (named and t != 0 and x != 0)
         assert named != (b == (13, 11, 13))
@@ -309,25 +307,25 @@ class TestCertify:
             assert cert.type_label.name == "C2" and cert.target.name == "A3"
 
     def test_freeness_warning_names_the_first_test_that_fails(self):
-        t_bound, r_bound = compute_t0(4), compute_r0(4, doubling_bvector(4))
+        t_bound, r_bound = compute_t0(4), compute_r0(doubling_bvector(4))
         t0, r0 = t_bound.safe_value, r_bound.safe_value
-        assert freeness_warning(t0, t_bound, "r", 0, r_bound) == (
+        assert freeness_warning(t0, t_bound, 0, r_bound) == (
             f"|t| = {t0} does not exceed the certified bound {t0}")
-        assert freeness_warning(-t0 - 1, t_bound, "r", -r0, r_bound) == (
+        assert freeness_warning(-t0 - 1, t_bound, -r0, r_bound) == (
             f"|r| = {r0} does not exceed the certified bound {r0}")
-        assert freeness_warning(t0 + 1, t_bound, "r", r0 + 1, r_bound) is None
-        assert freeness_warning(t0 + 1, t_bound, "s", -2) == "|s| = 2 does not exceed s0 = 2"
-        assert freeness_warning(t0 + 1, t_bound, "s", Fraction(-201, 100)) is None
+        assert freeness_warning(t0 + 1, t_bound, r0 + 1, r_bound) is None
+        assert freeness_warning(t0 + 1, t_bound, -2) == "|s| = 2 does not exceed s0 = 2"
+        assert freeness_warning(t0 + 1, t_bound, Fraction(-201, 100)) is None
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             certify_free_dense(4, FAMILY_CORNER, t=8)
         with pytest.raises(ValueError):
-            certify_free_dense(6, FAMILY_G2, t=18, r=18)
+            certify_free_dense(6, FAMILY_G2, t=18, second=18)
         with pytest.raises(ValueError):
-            certify_free_dense(4, "double_corner", t=8, s=3)
+            certify_free_dense(4, "double_corner", t=8, second=3)
         with pytest.raises(ValueError, match="takes no b-vector"):
-            certify_free_dense(4, FAMILY_CORNER, t=9, s=3, b=[1, 2, 3])
+            certify_free_dense(4, FAMILY_CORNER, t=9, second=3, b=[1, 2, 3])
 
     @pytest.mark.parametrize("family,n,b", [(FAMILY_G2, 7, [1, 2]), (FAMILY_CORNER, 4, [0])])
     def test_second_bound_refuses_a_b_vector_the_family_does_not_read(self, family, n, b):
@@ -335,7 +333,7 @@ class TestCertify:
             second_bound(family, n, b)
 
     @pytest.mark.parametrize("call", [
-        lambda: certify_free_dense(8, FAMILY_G2, t=20, r=20),
+        lambda: certify_free_dense(8, FAMILY_G2, t=20, second=20),
         lambda: second_bound(FAMILY_G2, 8),
     ], ids=["certify_free_dense", "second_bound"])
     def test_g2_at_another_size_names_the_size_rule(self, call):
@@ -347,7 +345,7 @@ class TestCertify:
         (lambda: build_pair(FAMILY_CORNER, None), "corner"),
         (lambda: shift_pair(None), "corner"),
         (lambda: predicted_type(FAMILY_CORNER, None), "corner"),
-        (lambda: certify_free_dense(None, FAMILY_CORNER, 8, s=3), "corner"),
+        (lambda: certify_free_dense(None, FAMILY_CORNER, 8, second=3), "corner"),
         (lambda: second_bound(FAMILY_LOWER, None, [1, 2]), "lower"),
     ], ids=["build_pair", "shift_pair", "predicted_type", "certify_free_dense", "second_bound"])
     def test_omitted_n_names_the_family(self, call, family):
@@ -362,5 +360,5 @@ class TestCertify:
             raise AssertionError("r0 computed for a call that is refused")
 
         monkeypatch.setattr(pingpong, "compute_r0", no_bound)
-        with pytest.raises(ValueError, match="parameter r alone"):
+        with pytest.raises(TypeError):
             certify_free_dense(40, FAMILY_LOWER, t=1, b=doubling_bvector(40), **params)

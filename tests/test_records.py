@@ -83,7 +83,7 @@ def test_make_and_replace_rebuild_a_good_record(record):
 @pytest.mark.parametrize("record", [
     shift_pair(3),
     compute_t0(3),
-    certify_free_dense(3, "corner", 100, s=3),
+    certify_free_dense(3, "corner", 100, second=3),
 ], ids=["GeneratorPair", "PingPongBound", "Certificate"])
 def test_attributes_cannot_be_assigned(record):
     field = record._fields[0]

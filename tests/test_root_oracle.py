@@ -94,5 +94,5 @@ def test_t_inequality_bracket_holds_the_positive_root(n):
 
 @pytest.mark.parametrize("b", [(1, 2), (3, -5, 7), (1, -1, 2, -3, 5, -8)])
 def test_r_inequality_brackets_hold_the_positive_root(b):
-    for p in r_inequalities(len(b) + 1, b):
+    for p in r_inequalities(b):
         check_against_sympy(list(p.integer_coefficients()), Fraction(1, 2**40))
