@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import __version__
 from .exact import DEFAULT_WIDTH, Matrix, Polynomial, RootBracket, bracket_width
-from .generators import FAMILIES, build_pair, bvector, doubling_bvector
+from .generators import FAMILIES, FAMILY_CORNER, build_pair, bvector, doubling_bvector
 from .closure import classify, subalgebra_closure
 from .pingpong import (
     CONCLUSION_FREE_DENSE,
@@ -143,9 +143,10 @@ def _source(name: str) -> Iterator[None]:
 def read_inputs(args: argparse.Namespace) -> None:
     """Check every input in place, before any work: refuse a flag the invocation
     does not read, require the ``exp`` kind's or the ``certify`` family's
-    parameter, and make --t, --s, --r exact, --width a bracket width, --b a
-    b-vector (absent or "doubling": the doubling vector), a family's --n its size
-    (a size of its pair, outside ``bounds``) and the ``closure`` files matrices."""
+    parameter, bound --n, --max-syll, --max-exp and ``thin``'s --q, and make --t,
+    --s, --r exact, --width a bracket width, --b a b-vector (absent or "doubling":
+    the doubling vector), a family's --n its size (a size of its pair, outside
+    ``bounds``; ``thin``'s is the corner pair's) and the ``closure`` files matrices."""
     if args.command == "closure":
         args.matrices = []
         for path in args.files:
@@ -164,6 +165,10 @@ def read_inputs(args: argparse.Namespace) -> None:
                 raise ValueError(exc) from None
         return
     if args.command == "thin":
+        with _source("--n"):
+            args.n = FAMILIES[FAMILY_CORNER].check(args.n)
+        if args.q == 0:
+            raise ValueError("--q: q must be nonzero")
         return
     if args.command == "exp":
         name = {"upper": "t", "corner": "s", "lower": "r"}[args.kind]
@@ -185,6 +190,9 @@ def read_inputs(args: argparse.Namespace) -> None:
     if "family" in args:
         with _source("--n"):
             args.n = fam.size(args.n) if args.command == "bounds" else fam.check(args.n)
+    for flag, least in (("n", 2), ("max_syll", 1), ("max_exp", 1)):
+        if getattr(args, flag, least) < least:
+            raise ValueError(f"--{flag.replace('_', '-')}: must be at least {least}")
     for flag in ("t", "s", "r", "width"):
         if getattr(args, flag, None) is not None:
             with _source(f"--{flag}"):
@@ -307,8 +315,11 @@ def cmd_thin(args: argparse.Namespace) -> tuple[dict, int]:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use; callers must not
-    mutate it."""
-    parser = argparse.ArgumentParser(
+    mutate it.  It and its subparsers refuse by raising ValueError."""
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # main prints it as one line, like any refusal
+            raise ValueError(message)
+    parser = Parser(
         prog="liegen",
         description="Exact generator pairs, density and freeness certificates",
     )
@@ -372,15 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one invocation and return its exit code; argparse errors raise
-    ``SystemExit(2)``, and a failed write to stdout its ``OSError``."""
-    parser = build_parser()
+    """Run one invocation and return its exit code, 2 for any refusal, the parser's
+    too; ``--help`` raises ``SystemExit(0)``, a failed write to stdout its ``OSError``."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         # Before Python 3.13, argparse reads "--opt=--" as an empty list.
         for dest, value in vars(args).items():
             if value == []:
-                parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+                raise ValueError(f"argument --{dest.replace('_', '-')}: expected one argument")
         read_inputs(args)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # inputs were read under it; exact output may pass it

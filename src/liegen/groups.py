@@ -116,19 +116,18 @@ def freeness_scan(
         ("B", e): exp_corner(e * params["s"], n) if s is not None
         else exp_lower(e * params["r"], params["b"]) for e in exponents
     }
-    # each syllable g as the columns of g - I, each the (row index, value)
-    # pairs of its nonzero entries, so that P g = P + P (g - I): every
-    # syllable is unipotent, so g - I is g off the diagonal and 0 on it,
-    # b(s) - I has one nonzero entry, and a column of g - I with no pairs
-    # keeps P's entry itself rather than a new one
-    syllable_cols = {syl: [[(i, x) for i, x in enumerate(col) if i != j and x]
-                           for j, col in enumerate(zip(*m.rows))]
+    # each syllable g as the nonempty columns j of g - I, with the (row, value)
+    # pairs of their nonzero entries, so that P g = P + P (g - I): g is
+    # unipotent, so g - I is g off the diagonal; b(s) - I has one nonzero entry
+    syllable_cols = {syl: [(j, pairs) for j, col in enumerate(zip(*m.rows))
+                           if (pairs := [(i, x) for i, x in enumerate(col) if i != j and x])]
                      for syl, m in syllable_mats.items()}
 
     # levels[h]: product -> the reduced words of h syllables with that product;
     # level h extends each entry of level h - 1 by each syllable, with one
     # product for all of the entry's words that end in the other generator;
-    # its rows are sums of Fractions, so Matrix._of takes them unchecked
+    # each row is P's row with only the syllable's columns recomputed, from P's
+    # nonzero entries alone: all Fractions, so Matrix._of takes them unchecked
     levels: list[dict[Matrix, list[tuple]]] = [{Matrix.identity(n): [()]}]
     for h in range(1, half + 1):
         level: dict[Matrix, list[tuple]] = {}
@@ -136,10 +135,11 @@ def freeness_scan(
             for syl, cols in syllable_cols.items():
                 longer = [w + (syl,) for w in words if not w or w[-1][0] != syl[0]]
                 if longer:
-                    prod_m = Matrix._of(tuple([tuple([sum([row[i] * x for i, x in col], row[j])
-                                                      for j, col in enumerate(cols)])
-                                               for row in prod.rows]))
-                    level.setdefault(prod_m, []).extend(longer)
+                    rows = [list(row) for row in prod.rows]
+                    for new, row in zip(rows, prod.rows):
+                        for j, col in cols:
+                            new[j] = sum([row[i] * x for i, x in col if row[i]], row[j])
+                    level.setdefault(Matrix._of(tuple(map(tuple, rows))), []).extend(longer)
         levels.append(level)
 
     hits = []

@@ -56,10 +56,8 @@ class TestGen:
         assert doc["b"] == ["8", "12", "14"]
 
     def test_bad_family_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "--family", "nonsense", "--n", "3"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        code, err = run_bad(capsys, "gen", "--family", "nonsense", "--n", "3")
+        assert code == 2 and err.startswith("liegen: error: argument --family: invalid choice")
 
     def test_missing_n_is_error(self, capsys):
         code, _ = run(capsys, "gen", "--family", "corner")
@@ -263,6 +261,10 @@ def refuse_work(monkeypatch):
     monkeypatch.setattr(cli, "compute_t0", work)
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("work began for an invocation that is refused")
+
+
 def run_bad(capsys, *args):
     """Exit code of an invocation that must fail as bad input, with its message."""
     code = main(list(args))
@@ -328,9 +330,21 @@ class TestBadInput:
         ["bounds", "--family", "corner", "--n", "1"],
         ["scan", "--n", "1", "--t", "1", "--s", "1"],
     ], ids=["exp-upper", "exp-corner", "bounds", "scan"])
-    def test_n_below_2_exits_2(self, capsys, argv):
+    def test_n_below_2_exits_2(self, capsys, monkeypatch, argv):
+        refuse_work(monkeypatch)
+        for name in ("exp_upper", "exp_corner", "freeness_scan"):
+            monkeypatch.setattr(cli, name, no_work)
         code, err = run_bad(capsys, *argv)
-        assert code == 2 and "n must be at least 2" in err
+        assert code == 2 and err == "liegen: error: --n: must be at least 2\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["thin", "--n", "2", "--q", "1", "--s", "3"], "--n: the corner pair requires n >= 3"),
+        (["thin", "--n", "4", "--q", "0", "--s", "3"], "--q: q must be nonzero"),
+    ], ids=["n", "q"])
+    def test_thin_names_the_flag_before_any_work(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "thin_pair", no_work)
+        code, err = run_bad(capsys, *argv)
+        assert code == 2 and err == f"liegen: error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["exp", "--kind", "upper", "--n", "3", "--t", "1/0"],
@@ -453,13 +467,11 @@ class TestBadInput:
 
     @pytest.mark.parametrize("limits, message", [
         (["--max-syll", "30", "--max-exp", "1"], "exceeds the work cap"),
-        (["--max-syll", "0"], "max_syllables and max_exponent must be positive"),
-    ], ids=["work-cap", "positivity"])
+        (["--max-syll", "0"], "liegen: error: --max-syll: must be at least 1\n"),
+        (["--max-exp", "-1"], "liegen: error: --max-exp: must be at least 1\n"),
+    ], ids=["work-cap", "positivity", "max-exp"])
     def test_scan_limits_are_checked_before_any_work(self, capsys, monkeypatch,
                                                       limits, message):
-        def no_work(*args):
-            raise AssertionError("a generator exponentiated for a refused scan")
-
         for name in ("exp_upper", "exp_corner", "exp_lower"):
             monkeypatch.setattr(groups, name, no_work)
         code, err = run_bad(capsys, "scan", "--n", "2", "--t", "1", "--s", "1", *limits)
@@ -496,18 +508,21 @@ class TestBadInput:
     def test_double_dash_value_exits_2(self, capsys, argv):
         """Python 3.13 passes "--" on as the value; earlier versions parse it
         as an empty list, which the parser refuses."""
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+        code, _ = run_bad(capsys, *argv)
+        assert code == 2
 
     def test_scan_has_no_seed(self, capsys):
+        code, err = run_bad(capsys, "scan", "--n", "2", "--t", "3", "--s", "3", "--seed", "1")
+        assert code == 2 and err == "liegen: error: unrecognized arguments: --seed 1\n"
+
+    def test_a_parser_refusal_is_one_line(self, capsys):
+        code, err = run_bad(capsys, "gen", "--family", "corner", "--n", "x")
+        assert code == 2 and err == "liegen: error: argument --n: invalid int value: 'x'\n"
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["scan", "--n", "2", "--t", "3", "--s", "3", "--seed", "1"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+            main(["scan", "--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: liegen scan")
 
 
 def refused_past_the_limit(err, source):

@@ -328,6 +328,33 @@ class TestScanAgainstDepthFirst:
                 seen.add((n, "r"))
         assert seen == {(n, g) for n in (2, 3, 4) for g in "rs"}
 
+    @pytest.mark.parametrize("n, kwargs", [
+        (2, dict(t=0, s=1)),
+        (3, dict(t=Fraction(1, 2), s=0)),
+        (3, dict(t=0, r=Fraction(-2, 3), b=(1, Fraction(1, 2)))),
+        (4, dict(t=Fraction(3, 2), r=0, b=(1, -2, 3))),
+    ], ids=["t0-corner", "s0", "t0-lower", "r0"])
+    def test_zero_parameters(self, n, kwargs):
+        """The draws above are never 0.  At 0 a generator's syllables are the
+        identity: g - I has no nonzero column, every product keeps P's
+        entries, and every word of that generator alone is a collision."""
+        checked, hits = depth_first_scan(n, **kwargs, max_syllables=5)
+        rep = freeness_scan(n, **kwargs, max_syllables=5, max_exponent=2)
+        assert rep.words_checked == checked
+        assert rep.collisions == hits
+        zero = "A" if kwargs["t"] == 0 else "B"
+        assert {((zero, e),) for e in (-2, -1, 1, 2)} <= set(hits)
+
+    def test_lower_scan_at_n_5_with_an_integer_b_vector(self):
+        """The draws above stop at n = 4 and the wider scans take a rational
+        b-vector; c(r) of the doubling vector has integer entries at r = 1."""
+        kwargs = dict(t=Fraction(1, 2), r=1, b=(16, 24, 28, 30), max_syllables=4,
+                      max_exponent=2)
+        checked, hits = depth_first_scan(5, **kwargs)
+        rep = freeness_scan(5, **kwargs)
+        assert rep.words_checked == checked
+        assert rep.collisions == hits
+
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("second", ["s", "r"])
