@@ -261,8 +261,8 @@ def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
     doc = {
         "tool_version": __version__,
         "input": {
-            "family": cert.family,
-            "n": cert.n,
+            "family": cert.pair.family,
+            "n": cert.pair.n,
             "parameters": _params_doc(cert.parameters),
             "width": str(args.width),
         },
@@ -284,7 +284,7 @@ def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[dict, int]:
-    report = freeness_scan(args.n, args.t, args.s, args.r, args.b,
+    report = freeness_scan(args.n, args.t, args.s if args.r is None else args.r, args.b,
                            max_syllables=args.max_syll, max_exponent=args.max_exp)
     doc = {
         "n": report.n,

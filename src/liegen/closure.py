@@ -9,10 +9,14 @@ from .exact import Matrix, SpanBasis, _int_flatten
 from .generators import lookup_family
 
 
-class ClosureResult(namedtuple("ClosureResult", "basis dim rounds")):
-    """Bracket-closed span basis with its dimension and sweep count."""
+class ClosureResult(namedtuple("ClosureResult", "basis rounds")):
+    """Bracket-closed span basis with its sweep count."""
 
     __slots__ = ()
+
+    @property
+    def dim(self) -> int:
+        return self.basis.rank
 
 
 def _by_row(v: dict[int, int], n: int) -> dict[int, list[tuple[int, int]]]:
@@ -69,7 +73,7 @@ def subalgebra_closure(seed: Sequence[Matrix]) -> ClosureResult:
         if not found:
             break
         new = found
-    return ClosureResult(basis=basis, dim=basis.rank, rounds=rounds)
+    return ClosureResult(basis=basis, rounds=rounds)
 
 
 class TypeLabel(namedtuple("TypeLabel", "family rank dim")):

@@ -125,9 +125,6 @@ class Matrix:
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
 
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
-
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.rows)
 

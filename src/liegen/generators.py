@@ -89,24 +89,29 @@ def lookup_family(name: str) -> Family:
     return FAMILIES[name]
 
 
-class GeneratorPair(namedtuple("GeneratorPair", "n first second family b")):
-    """A pair of nilpotent matrices generating a Lie algebra; each has m^k = 0
-    for some k <= n."""
+class GeneratorPair(namedtuple("GeneratorPair", "first second family b")):
+    """A pair of nilpotent n x n matrices generating a Lie algebra; each has
+    m^k = 0 for some k <= n."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: both check
 
-    def __new__(cls, n: int, first: Matrix, second: Matrix, family: str,
+    def __new__(cls, first: Matrix, second: Matrix, family: str,
                 b: tuple[Fraction, ...] | None = None) -> GeneratorPair:
+        n = first.n
+        if second.n != n:
+            raise ValueError("generator dimension mismatch")
         for m in (first, second):
-            if m.n != n:
-                raise ValueError("generator dimension mismatch")
             power, k = m, 1  # m^k = 0 for some k <= n: stop at the first zero power
             while not power.is_zero():
                 if k == n:
                     raise ValueError("generator is not nilpotent")
                 power, k = power * m, k + 1
-        return super().__new__(cls, n, first, second, family, b)
+        return super().__new__(cls, first, second, family, b)
+
+    @property
+    def n(self) -> int:
+        return self.first.n
 
 
 def bvector(b: Sequence[Scalar] | None, n: int) -> tuple[Fraction, ...]:
@@ -148,14 +153,14 @@ def shift_pair(n: int, family: str = FAMILY_CORNER) -> GeneratorPair:
         raise ValueError(f"unknown shift family {family!r}")
     n = fam.check(n)
     y = Matrix.from_units(n, fam.shift_units(n))
-    return GeneratorPair(n=n, first=shift_matrix(n), second=y, family=family)
+    return GeneratorPair(first=shift_matrix(n), second=y, family=family)
 
 
 def lower_pair(b: Sequence[Scalar]) -> GeneratorPair:
     """Shift x with lower bidiagonal z = sum b_i e_{i+1,i}; all b_i nonzero."""
     bs = bvector(b, len(b) + 1)
     n = FAMILIES[FAMILY_LOWER].check(len(b) + 1)
-    return GeneratorPair(n=n, first=shift_matrix(n), second=lower_bidiagonal(bs),
+    return GeneratorPair(first=shift_matrix(n), second=lower_bidiagonal(bs),
                          family=FAMILY_LOWER, b=bs)
 
 
@@ -169,7 +174,7 @@ def doubling_bvector(n: int) -> tuple[Fraction, ...]:
 def g2_pair() -> GeneratorPair:
     """The G2 pair: the shift x and the lower bidiagonal z of G2_LOWER_B."""
     z = lower_bidiagonal(G2_LOWER_B)
-    return GeneratorPair(n=z.n, first=shift_matrix(z.n), second=z, family=FAMILY_G2)
+    return GeneratorPair(first=shift_matrix(z.n), second=z, family=FAMILY_G2)
 
 
 def build_pair(family: str, n: int, b: Sequence[Scalar] | None = None) -> GeneratorPair:

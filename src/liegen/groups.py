@@ -65,8 +65,7 @@ MAX_HALF_WORDS = 50_000
 def freeness_scan(
     n: int,
     t: Scalar,
-    s: Scalar | None = None,
-    r: Scalar | None = None,
+    second: Scalar,
     b: Sequence[Scalar] | None = None,
     *,
     max_syllables: int,
@@ -74,8 +73,8 @@ def freeness_scan(
 ) -> ScanReport:
     """Find every reduced word up to the given size that equals the identity.
 
-    The A generator is a(t); the B generator is b(s) when s is given, or
-    c(r) with the supplied b-vector when r is given.  An empty collision
+    The A generator is a(t); the B generator is c(r), r = ``second``, with
+    the b-vector b, or b(s), s = ``second``, without one.  An empty collision
     list is freeness evidence (a necessary condition only); any collision
     disproves freeness at these parameters.
 
@@ -92,10 +91,6 @@ def freeness_scan(
     """
     if max_syllables < 1 or max_exponent < 1:
         raise ValueError("max_syllables and max_exponent must be positive")
-    if (s is None) == (r is None):
-        raise ValueError("give exactly one of s (corner) or r (lower)")
-    if s is not None and b is not None:
-        raise ValueError("a scan with s takes no b-vector")
     half = (max_syllables + 1) // 2
     half_words = 0
     for k in range(1, half + 1):
@@ -106,14 +101,14 @@ def freeness_scan(
                 f"{max_exponent} exceeds the work cap of {MAX_HALF_WORDS} half-words"
             )
     params: dict = {"t": _rat(t)}
-    if s is not None:
-        params["s"] = _rat(s)
+    if b is None:
+        params["s"] = _rat(second)
     else:
-        params["r"], params["b"] = _rat(r), bvector(b, n)
+        params["r"], params["b"] = _rat(second), bvector(b, n)
 
     exponents = [e for e in range(-max_exponent, max_exponent + 1) if e != 0]
     syllable_mats = {("A", e): exp_upper(e * params["t"], n) for e in exponents} | {
-        ("B", e): exp_corner(e * params["s"], n) if s is not None
+        ("B", e): exp_corner(e * params["s"], n) if b is None
         else exp_lower(e * params["r"], params["b"]) for e in exponents
     }
     # each syllable g as the nonempty columns j of g - I, with the (row, value)
@@ -168,14 +163,22 @@ def freeness_scan(
     )
 
 
-class ThinPair(namedtuple("ThinPair", "n t s first second certified warning")):
-    """Integer generator pair a((n-1)! q), b(s), with a certification flag."""
+class ThinPair(namedtuple("ThinPair", "t s first second warning")):
+    """Integer generator pair a((n-1)! q), b(s), certified when it has no warning."""
 
     __slots__ = ()
 
+    @property
+    def n(self) -> int:
+        return self.first.n
+
+    @property
+    def certified(self) -> bool:
+        return self.warning is None
+
 
 def thin_pair(n: int, q: int, s: int) -> ThinPair:
-    """Integer pair a((n-1)! q), b(s) in SL(n, Z).
+    """Integer pair a((n-1)! q), b(s) in SL(n, Z), for integers q != 0 and s.
 
     Certified (free, hence thin by the congruence subgroup property) when
     t and s pass ``freeness_warning``, the ping-pong test that
@@ -183,24 +186,13 @@ def thin_pair(n: int, q: int, s: int) -> ThinPair:
     size of the corner pair, whose exponentials these are.
     """
     n = FAMILIES[FAMILY_CORNER].check(n)
+    for name, x in (("q", q), ("s", s)):
+        if _rat(x).denominator != 1:
+            raise ValueError(f"{name} must be an integer, not {x}")
     if q == 0:
         raise ValueError("q must be nonzero")
     t = math.factorial(n - 1) * q
-    a = exp_upper(t, n)
-    bmat = exp_corner(s, n)
-    assert all(x.denominator == 1 for x in a.flatten())
-    warning = freeness_warning(t, compute_t0(n), s)
-    return ThinPair(
-        n=n, t=t, s=s, first=a, second=bmat,
-        certified=warning is None, warning=warning,
-    )
-
-
-def form_matrix(n: int) -> Matrix:
-    """J = sum_i (-1)^i e_{i, n+1-i}: alternating for n even, symmetric for n odd.
-
-    -J z^T J^-1 is the diagram automorphism e_{i,j} -> (-1)^{i-j+1} e_{n-j+1,n-i+1}.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return Matrix.from_units(n, [(i, n + 1 - i, (-1) ** i) for i in range(1, n + 1)])
+    pair = ThinPair(t=t, s=s, first=exp_upper(t, n), second=exp_corner(s, n),
+                    warning=freeness_warning(t, compute_t0(n), s))
+    assert all(x.denominator == 1 for x in pair.first.flatten())
+    return pair

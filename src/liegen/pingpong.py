@@ -57,6 +57,8 @@ def r_inequalities(b: Sequence[Scalar]) -> list[Polynomial]:
     denominators scales it to integers.
     """
     n = len(b) + 1
+    if n < 2:
+        raise ValueError("n must be at least 2")
     c = lower_coefficients([abs(x.numerator) if x.denominator == 1 else abs(x)
                             for x in bvector(b, n)])
     fact = [math.factorial(d) for d in range(n)]
@@ -147,10 +149,10 @@ CONCLUSION_DENSE_ONLY = "dense_only"
 CONCLUSION_INSUFFICIENT = "insufficient"
 
 
-class Certificate(namedtuple("Certificate", "n family parameters pair closure type_label "
+class Certificate(namedtuple("Certificate", "parameters pair closure type_label "
                                             "target t_bound second_bound conclusion")):
-    """Joint density (Lie algebra closure) and freeness (ping-pong) certificate;
-    ``second_bound`` is None when the threshold is S0 = 2."""
+    """Joint density (Lie algebra closure) and freeness (ping-pong) certificate
+    of ``pair``; ``second_bound`` is None when the threshold is S0 = 2."""
 
     __slots__ = ()
 
@@ -189,7 +191,6 @@ def certify_free_dense(
                   CONCLUSION_FREE_DENSE if freeness_ok else CONCLUSION_DENSE_ONLY)
 
     return Certificate(
-        n=n, family=family, parameters=params, pair=pair,
-        closure=closure, type_label=label, target=target,
+        parameters=params, pair=pair, closure=closure, type_label=label, target=target,
         t_bound=t_bound, second_bound=bound, conclusion=conclusion,
     )

@@ -125,15 +125,30 @@ def diagram_automorphism(a: Matrix) -> Matrix:
     ])
 
 
+def transpose(m: Matrix) -> Matrix:
+    """m^T."""
+    return Matrix(list(zip(*m.rows)))
+
+
+def form_matrix(n: int) -> Matrix:
+    """J = sum_i (-1)^i e_{i, n+1-i}: alternating for n even, symmetric for n odd.
+
+    -J z^T J^-1 is the diagram automorphism e_{i,j} -> (-1)^{i-j+1} e_{n-j+1,n-i+1}.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    return Matrix.from_units(n, [(i, n + 1 - i, (-1) ** i) for i in range(1, n + 1)])
+
+
 def form_conjugate(z: Matrix, j: Matrix) -> Matrix:
     """-J z^T J^-1 for a form matrix J with J^2 = sigma I, so J^-1 = sigma J."""
     sigma = (j * j)[1, 1]
-    return -(j * z.transpose() * (sigma * j))
+    return -(j * transpose(z) * (sigma * j))
 
 
 def check_form(g: Matrix, j: Matrix) -> bool:
     """Whether g preserves the bilinear form of J: g^T J g = J."""
-    return g.transpose() * j * g == j
+    return transpose(g) * j * g == j
 
 
 # ---------------------------------------------------------------- spans

@@ -36,7 +36,6 @@ from liegen.groups import (
     exp_corner,
     exp_lower,
     exp_upper,
-    form_matrix,
     freeness_scan,
     thin_pair,
 )
@@ -51,6 +50,7 @@ from paper_oracles import (
     closed_form_bracket,
     det,
     exp_nilpotent,
+    form_matrix,
     g2_relation_failures,
     in_region,
     iterated_bracket,
@@ -186,13 +186,13 @@ def test_acceptance_05_pingpong_guarantees():
 def test_acceptance_06_freeness_scans():
     failures = []
     start = time.monotonic()
-    rep = freeness_scan(2, t=3, s=3, max_syllables=6, max_exponent=3)
+    rep = freeness_scan(2, t=3, second=3, max_syllables=6, max_exponent=3)
     if not rep.clean:
         failures.append(f"(t=s=3) {len(rep.collisions)} collisions")
     if time.monotonic() - start >= 120:
         failures.append("t=s=3 scan over 2 minutes")
     start = time.monotonic()
-    rep = freeness_scan(2, t=1, s=1, max_syllables=6, max_exponent=1)
+    rep = freeness_scan(2, t=1, second=1, max_syllables=6, max_exponent=1)
     if len(rep.collisions) < 1:
         failures.append("(t=s=1) no collision found")
     if len(rep.collisions) != 12:  # frozen regression value
@@ -200,7 +200,7 @@ def test_acceptance_06_freeness_scans():
     if time.monotonic() - start >= 120:
         failures.append("t=s=1 scan over 2 minutes")
     start = time.monotonic()
-    rep = freeness_scan(4, t=8, s=3, max_syllables=4, max_exponent=2)
+    rep = freeness_scan(4, t=8, second=3, max_syllables=4, max_exponent=2)
     if not rep.clean:
         failures.append(f"(n=4) {len(rep.collisions)} collisions")
     if time.monotonic() - start >= 120:

@@ -17,7 +17,7 @@ from liegen.exact import (
     isolate_largest_positive_root,
 )
 from liegen.generators import FAMILY_CORNER, G2_LOWER_B, bvector, doubling_bvector
-from liegen.groups import exp_upper, freeness_scan
+from liegen.groups import exp_upper, freeness_scan, thin_pair
 from liegen.pingpong import certify_free_dense, compute_t0, r_inequalities, t_inequality
 
 from paper_oracles import det, flat
@@ -590,11 +590,13 @@ class TestFloatsRefused:
         lambda: Matrix([[0.5]]),
         lambda: Polynomial([0.1, 1]),
         lambda: bvector([0.5], 2),
-        lambda: freeness_scan(2, t=0.5, s=1, max_syllables=4, max_exponent=2),
+        lambda: freeness_scan(2, t=0.5, second=1, max_syllables=4, max_exponent=2),
         lambda: compute_t0(4, 0.5),
         lambda: isolate_largest_positive_root([Polynomial([-2, 1])], 0.5),
+        lambda: thin_pair(3, 1.0, 3),
+        lambda: thin_pair(3, 1, 3.0),
     ], ids=["certify_free_dense", "exp_upper", "Matrix", "Polynomial", "bvector",
-            "freeness_scan", "compute_t0_width", "isolate_width"])
+            "freeness_scan", "compute_t0_width", "isolate_width", "thin_pair_q", "thin_pair_s"])
     def test_float_raises_type_error(self, call):
         with pytest.raises(TypeError, match="refuses the float"):
             call()

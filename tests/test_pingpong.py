@@ -108,6 +108,10 @@ class TestInequalityPolynomials:
     def test_r_validation(self):
         with pytest.raises(ValueError):
             r_inequalities((1, 0, 1))
+        # an empty b is n = 1, which has no r-polynomial: r0 would have no root
+        for call in (r_inequalities, compute_r0):
+            with pytest.raises(ValueError, match="n must be at least 2"):
+                call([])
 
     def test_every_inequality_has_one_sign_change(self):
         """Every coefficient below the leading one is negative, so each

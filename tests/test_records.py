@@ -1,19 +1,22 @@
 """The result records are immutable named tuples: they compare and hash by
 field, and the two with rules, GeneratorPair and PingPongBound, refuse bad
-fields when they are built, by _make and by _replace."""
+fields when they are built, by _make and by _replace.  No field copies
+another: what one field determines is read off it."""
 
 from fractions import Fraction
 
 import pytest
 
+from liegen.closure import subalgebra_closure
 from liegen.exact import Matrix, Polynomial, RootBracket
-from liegen.generators import GeneratorPair, shift_matrix, shift_pair
+from liegen.generators import GeneratorPair, lower_pair, shift_matrix, shift_pair
+from liegen.groups import thin_pair
 from liegen.pingpong import PingPongBound, certify_free_dense, compute_t0
 
 
 def not_nilpotent(second):
     """A pair whose second generator is refused as not nilpotent."""
-    return (lambda: GeneratorPair(second.n, shift_matrix(second.n), second, "corner"),
+    return (lambda: GeneratorPair(shift_matrix(second.n), second, "corner"),
             ValueError, "generator is not nilpotent")
 
 
@@ -23,13 +26,13 @@ def conjugate(m, p, p_inverse):
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: GeneratorPair(3, shift_matrix(3), Matrix.identity(3), "corner"),
+    (lambda: GeneratorPair(shift_matrix(3), Matrix.identity(3), "corner"),
      ValueError, "generator is not nilpotent"),
     not_nilpotent(Matrix.identity(7)),
     not_nilpotent(Matrix.unit(5, 5, 5)),  # diag(0, ..., 0, 1)
     not_nilpotent(Matrix.identity(4) + Matrix.unit(4, 1, 2)),
     not_nilpotent(shift_matrix(5) + Matrix.unit(5, 5, 1)),  # its 5th power is I
-    (lambda: GeneratorPair(3, shift_matrix(3), shift_matrix(4), "corner"),
+    (lambda: GeneratorPair(shift_matrix(3), shift_matrix(4), "corner"),
      ValueError, "generator dimension mismatch"),
     (lambda: PingPongBound("t_bound", (Polynomial([-2, 1]),),
                            RootBracket(Fraction(2), Fraction(3)), Fraction(5, 2)),
@@ -52,7 +55,7 @@ def test_bad_fields_are_refused(build, error, message):
 ], ids=["rank-one-2x2", "conjugated-shift", "corner-index-2", "zero"])
 def test_nilpotent_generators_are_accepted(second):
     """Nilpotent, so accepted, also when not triangular: m^k = 0 for some k <= n."""
-    assert GeneratorPair(second.n, shift_matrix(second.n), second, "corner").second == second
+    assert GeneratorPair(shift_matrix(second.n), second, "corner").second == second
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -62,7 +65,7 @@ def test_nilpotent_generators_are_accepted(second):
      AssertionError, "safe_value lacks a positivity witness"),
     (lambda: shift_pair(3)._replace(second=Matrix.identity(3)),
      ValueError, "generator is not nilpotent"),
-    (lambda: GeneratorPair._make((3, shift_matrix(3), shift_matrix(4), "corner", None)),
+    (lambda: GeneratorPair._make((shift_matrix(3), shift_matrix(4), "corner", None)),
      ValueError, "generator dimension mismatch"),
 ], ids=["replace-safe-value", "make-bound", "replace-second", "make-pair"])
 def test_make_and_replace_keep_the_checks(build, error, message):
@@ -94,7 +97,29 @@ def test_attributes_cannot_be_assigned(record):
 
 
 def test_records_compare_and_hash_by_field():
-    assert shift_pair(4) == GeneratorPair(n=4, first=shift_matrix(4),
-                                          second=Matrix.unit(4, 4, 1), family="corner")
+    assert shift_pair(4) == GeneratorPair(first=shift_matrix(4), second=Matrix.unit(4, 4, 1),
+                                          family="corner")
     lo, hi = RootBracket(Fraction(1), Fraction(2))
     assert (lo, hi) == RootBracket(lo=Fraction(1), hi=Fraction(2))
+
+
+LOWER = lower_pair((8, 12, 14))
+CERT = certify_free_dense(4, "lower_bidiagonal", 8, second=3, b=(8, 12, 14))
+THIN, WARNED = thin_pair(4, 2, 3), thin_pair(4, 1, 3)
+
+
+@pytest.mark.parametrize("record, dropped, read", [
+    (LOWER, "n", lambda p: p.n == p.first.n == 4),
+    (subalgebra_closure([LOWER.first, LOWER.second]), "dim",
+     lambda c: c.dim == c.basis.rank == 15),
+    (CERT, "n", lambda c: c.pair.n == 4),
+    (CERT, "family", lambda c: c.pair.family == "lower_bidiagonal"),
+    (THIN, "n", lambda p: p.n == p.first.n == 4),
+    (THIN, "certified", lambda p: p.certified and p.warning is None
+     and not WARNED.certified and WARNED.warning is not None),
+], ids=["GeneratorPair-n", "ClosureResult-dim", "Certificate-n", "Certificate-family",
+        "ThinPair-n", "ThinPair-certified"])
+def test_a_fact_is_read_off_the_field_that_holds_it(record, dropped, read):
+    """A record cannot hold two facts that disagree: the copy is no field."""
+    assert dropped not in record._fields
+    assert read(record)
