@@ -143,10 +143,11 @@ def _source(name: str) -> Iterator[None]:
 def read_inputs(args: argparse.Namespace) -> None:
     """Check every input in place, before any work: refuse a flag the invocation
     does not read, require the ``exp`` kind's or the ``certify`` family's
-    parameter, bound --n, --max-syll, --max-exp and ``thin``'s --q, and make --t,
-    --s, --r exact, --width a bracket width, --b a b-vector (absent or "doubling":
-    the doubling vector), a family's --n its size (a size of its pair, outside
-    ``bounds``; ``thin``'s is the corner pair's) and the ``closure`` files matrices."""
+    parameter, bound --n, --max-syll, --max-exp and ``thin``'s --q, and make the
+    --family alias its family's name, --t, --s, --r exact, --width a bracket width,
+    --b a b-vector (absent or "doubling": the doubling vector), a family's --n its
+    size (a size of its pair, outside ``bounds``; ``thin``'s is the corner pair's)
+    and the ``closure`` files matrices."""
     if args.command == "closure":
         args.matrices = []
         for path in args.files:
@@ -179,8 +180,8 @@ def read_inputs(args: argparse.Namespace) -> None:
             raise ValueError("scan needs exactly one of --s (corner) or --r (lower)")
         used, what = ("t", "s", "r", "b" if lower else ""), "a scan without --r"
     else:
-        fam = FAMILIES[args.family]
-        name = fam.second
+        fam = next(f for f in FAMILIES.values() if f.alias == args.family)
+        args.family, name = fam.name, fam.second
         used, what = ("t", name, "b" if fam.takes_b else ""), f"the {fam.alias} family"
     for flag in ("t", "s", "r", "b"):
         if flag not in used and getattr(args, flag, None) is not None:
@@ -258,6 +259,7 @@ def cmd_exp(args: argparse.Namespace) -> tuple[dict, int]:
 def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
     second = getattr(args, FAMILIES[args.family].second)
     cert = certify_free_dense(args.n, args.family, args.t, second, args.b, args.width)
+    conclusion = cert.conclusion
     doc = {
         "tool_version": __version__,
         "input": {
@@ -278,9 +280,9 @@ def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
             "target_type": cert.target.name,
         },
         "bounds": _bounds_doc(cert.t_bound, cert.second_bound),
-        "conclusion": cert.conclusion,
+        "conclusion": conclusion,
     }
-    return doc, (0 if cert.conclusion == CONCLUSION_FREE_DENSE else 1)
+    return doc, (0 if conclusion == CONCLUSION_FREE_DENSE else 1)
 
 
 def cmd_scan(args: argparse.Namespace) -> tuple[dict, int]:
@@ -325,14 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    aliases = {f.alias: f.name for f in FAMILIES.values()}
-
     def family_command(name: str, help_text: str, func, bounded: bool = False):
         """A command on a family's pair: --family, --n, --b, and with ``bounded``
         --width and only the families with certified bounds."""
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--family", required=True, type=lambda v: aliases.get(v, v),
-                       choices=[f.name for f in FAMILIES.values() if f.second or not bounded])
+        p.add_argument("--family", required=True,
+                       choices=[f.alias for f in FAMILIES.values() if f.second or not bounded])
         p.add_argument("--n", type=int)
         p.add_argument("--b", help='"doubling" or comma list like 8,12,14')
         if bounded:

@@ -89,15 +89,14 @@ def lookup_family(name: str) -> Family:
     return FAMILIES[name]
 
 
-class GeneratorPair(namedtuple("GeneratorPair", "first second family b")):
+class GeneratorPair(namedtuple("GeneratorPair", "first second family")):
     """A pair of nilpotent n x n matrices generating a Lie algebra; each has
     m^k = 0 for some k <= n."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: both check
 
-    def __new__(cls, first: Matrix, second: Matrix, family: str,
-                b: tuple[Fraction, ...] | None = None) -> GeneratorPair:
+    def __new__(cls, first: Matrix, second: Matrix, family: str) -> GeneratorPair:
         n = first.n
         if second.n != n:
             raise ValueError("generator dimension mismatch")
@@ -107,11 +106,17 @@ class GeneratorPair(namedtuple("GeneratorPair", "first second family b")):
                 if k == n:
                     raise ValueError("generator is not nilpotent")
                 power, k = power * m, k + 1
-        return super().__new__(cls, first, second, family, b)
+        return super().__new__(cls, first, second, family)
 
     @property
     def n(self) -> int:
         return self.first.n
+
+    @property
+    def b(self) -> tuple[Fraction, ...] | None:
+        """The lower family's b-vector, read off the subdiagonal of ``second``; else None."""
+        return (tuple(row[i] for i, row in enumerate(self.second.rows[1:]))
+                if self.family == FAMILY_LOWER else None)
 
 
 def bvector(b: Sequence[Scalar] | None, n: int) -> tuple[Fraction, ...]:
@@ -160,8 +165,7 @@ def lower_pair(b: Sequence[Scalar]) -> GeneratorPair:
     """Shift x with lower bidiagonal z = sum b_i e_{i+1,i}; all b_i nonzero."""
     bs = bvector(b, len(b) + 1)
     n = FAMILIES[FAMILY_LOWER].check(len(b) + 1)
-    return GeneratorPair(first=shift_matrix(n), second=lower_bidiagonal(bs),
-                         family=FAMILY_LOWER, b=bs)
+    return GeneratorPair(first=shift_matrix(n), second=lower_bidiagonal(bs), family=FAMILY_LOWER)
 
 
 def doubling_bvector(n: int) -> tuple[Fraction, ...]:
@@ -186,24 +190,26 @@ def build_pair(family: str, n: int, b: Sequence[Scalar] | None = None) -> Genera
     return lower_pair(b) if fam.takes_b else g2_pair()
 
 
-class CriterionResult(namedtuple("CriterionResult", "holds values")):
-    """Outcome of a distinctness criterion, with the values it inspected."""
+class CriterionResult(namedtuple("CriterionResult", "values")):
+    """The values a distinctness criterion inspects; it holds when the values
+    and their negatives are pairwise distinct (in particular none is zero)."""
 
     __slots__ = ()
 
+    @property
+    def holds(self) -> bool:
+        return len({*self.values, *(-x for x in self.values)}) == 2 * len(self.values)
+
 
 def prop2_criterion(cartan: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> CriterionResult:
-    """Generation criterion for x = sum x_i, y = sum b_i y_i, from the rows of C.
-
-    Computes v = C b and holds iff the 2l values {+-v_i} are pairwise
-    distinct (in particular no v_i is zero).
-    """
+    """Generation criterion for x = sum x_i, y = sum b_i y_i: the values v = C b,
+    from the rows of the Cartan matrix C."""
     ell = len(cartan)
     if any(len(r) != ell for r in cartan):
         raise ValueError("Cartan matrix must be square")
     bs = bvector(b, ell + 1)
     v = tuple(sum(_rat(c) * x for c, x in zip(row, bs)) for row in cartan)
-    return CriterionResult(holds=len(set(v) | {-x for x in v}) == 2 * len(v), values=v)
+    return CriterionResult(values=v)
 
 
 def type_a_cartan(ell: int) -> tuple[tuple[int, ...], ...]:

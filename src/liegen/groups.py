@@ -44,12 +44,15 @@ def exp_lower(r: Scalar, b: Sequence[Scalar]) -> Matrix:
                              + (Fraction(0),) * (n - j) for j in range(1, n + 1)]))
 
 
-class ScanReport(namedtuple("ScanReport", "n max_syllables max_exponent words_checked "
-                                          "collisions parameters")):
+class ScanReport(namedtuple("ScanReport", "n max_syllables max_exponent collisions parameters")):
     """Result of an exhaustive identity scan over reduced words; each collision
     is a tuple of syllables (generator symbol "A" or "B", nonzero exponent)."""
 
     __slots__ = ()
+
+    @property
+    def words_checked(self) -> int:  # reduced words of 1 to L syllables: 2 sum (2E)^k
+        return sum(2 * (2 * self.max_exponent) ** k for k in range(1, self.max_syllables + 1))
 
     @property
     def clean(self) -> bool:
@@ -153,24 +156,27 @@ def freeness_scan(
                             f"more than {MAX_HALF_WORDS} identity words exceed the work cap"
                         )
 
-    return ScanReport(
-        n=n,
-        max_syllables=max_syllables,
-        max_exponent=max_exponent,
-        words_checked=sum(2 * (2 * max_exponent) ** k for k in range(1, max_syllables + 1)),
-        collisions=sorted(hits),
-        parameters=params,
-    )
+    return ScanReport(n=n, max_syllables=max_syllables, max_exponent=max_exponent,
+                      collisions=sorted(hits), parameters=params)
 
 
-class ThinPair(namedtuple("ThinPair", "t s first second warning")):
-    """Integer generator pair a((n-1)! q), b(s), certified when it has no warning."""
+class ThinPair(namedtuple("ThinPair", "first second warning")):
+    """Integer generator pair a(t), t = (n-1)! q, and b(s), certified when it has
+    no warning; t and s are read off the entries (1, 2) and (n, 1)."""
 
     __slots__ = ()
 
     @property
     def n(self) -> int:
         return self.first.n
+
+    @property
+    def t(self) -> int:
+        return int(self.first.rows[0][1])
+
+    @property
+    def s(self) -> int:
+        return int(self.second.rows[-1][0])
 
     @property
     def certified(self) -> bool:
@@ -192,7 +198,7 @@ def thin_pair(n: int, q: int, s: int) -> ThinPair:
     if q == 0:
         raise ValueError("q must be nonzero")
     t = math.factorial(n - 1) * q
-    pair = ThinPair(t=t, s=s, first=exp_upper(t, n), second=exp_corner(s, n),
+    pair = ThinPair(first=exp_upper(t, n), second=exp_corner(s, n),
                     warning=freeness_warning(t, compute_t0(n), s))
     assert all(x.denominator == 1 for x in pair.first.flatten())
     return pair

@@ -23,7 +23,7 @@ from .exact import (
     _rat,
     isolate_largest_positive_root,
 )
-from .closure import classify, predicted_type, subalgebra_closure
+from .closure import TypeLabel, classify, predicted_type, subalgebra_closure
 from .generators import build_pair, bvector, lookup_family, lower_coefficients
 
 #: Threshold for b(s)^m X1 in X2.
@@ -149,12 +149,34 @@ CONCLUSION_DENSE_ONLY = "dense_only"
 CONCLUSION_INSUFFICIENT = "insufficient"
 
 
-class Certificate(namedtuple("Certificate", "parameters pair closure type_label "
-                                            "target t_bound second_bound conclusion")):
-    """Joint density (Lie algebra closure) and freeness (ping-pong) certificate
-    of ``pair``; ``second_bound`` is None when the threshold is S0 = 2."""
+class Certificate(namedtuple("Certificate", "pair t second closure t_bound second_bound")):
+    """Density (Lie algebra closure) and freeness (ping-pong) certificate of ``pair``
+    at t and ``second`` (s or r); ``second_bound`` is None when the threshold is S0 = 2."""
 
     __slots__ = ()
+
+    @property
+    def type_label(self) -> TypeLabel:
+        return classify(self.pair.n, self.closure.dim)
+
+    @property
+    def target(self) -> TypeLabel:
+        return predicted_type(self.pair.family, self.pair.n)
+
+    @property
+    def parameters(self) -> dict:
+        params = {"t": self.t, lookup_family(self.pair.family).second: self.second}
+        return params if self.pair.b is None else params | {"b": self.pair.b}
+
+    @property
+    def conclusion(self) -> str:
+        """Density: the closure has the target type, and t and ``second`` are nonzero;
+        freeness: they pass ``freeness_warning``.  Without density, insufficient."""
+        if self.type_label != self.target or not (self.t and self.second):
+            return CONCLUSION_INSUFFICIENT
+        if freeness_warning(self.t, self.t_bound, self.second, self.second_bound) is None:
+            return CONCLUSION_FREE_DENSE
+        return CONCLUSION_DENSE_ONLY
 
 
 def certify_free_dense(
@@ -167,30 +189,12 @@ def certify_free_dense(
 ) -> Certificate:
     """Certify that <exp(t x), exp(s y)> (or c(r)) is free and Zariski dense;
     ``second`` is the value of s or r, the parameter that ``Family.second`` names.
-
-    Density: the type ``classify`` names for the exact closure of the pair is
-    the target; freeness: the parameters pass ``freeness_warning``'s test.
-    ``insufficient`` is a valid outcome, never an error.
+    ``insufficient`` is a valid conclusion, never an error.
     """
     t, second = _rat(t), _rat(second)
-    fam = lookup_family(family)
-    n = fam.check(n)
+    n = lookup_family(family).check(n)
     bound = second_bound(family, n, b, width)
     pair = build_pair(family, n, b)
-    params: dict = {"t": t, fam.second: second}
-    if pair.b is not None:
-        params["b"] = pair.b
-
-    closure = subalgebra_closure([pair.first, pair.second])
-    label = classify(n, closure.dim)
-    target = predicted_type(family, n)
-    t_bound = compute_t0(n, width)
-    density_ok = label == target and t != 0 and second != 0
-    freeness_ok = freeness_warning(t, t_bound, second, bound) is None
-    conclusion = (CONCLUSION_INSUFFICIENT if not density_ok else
-                  CONCLUSION_FREE_DENSE if freeness_ok else CONCLUSION_DENSE_ONLY)
-
-    return Certificate(
-        parameters=params, pair=pair, closure=closure, type_label=label, target=target,
-        t_bound=t_bound, second_bound=bound, conclusion=conclusion,
-    )
+    return Certificate(pair=pair, t=t, second=second,
+                       closure=subalgebra_closure([pair.first, pair.second]),
+                       t_bound=compute_t0(n, width), second_bound=bound)

@@ -108,9 +108,7 @@ def prop1_criterion(h: Matrix) -> CriterionResult:
         raise ValueError("h must be diagonal")
     if sum(h[i, i] for i in range(1, n + 1)) != 0:
         raise ValueError("h must be traceless")
-    diffs = tuple(h[i, i] - h[i + 1, i + 1] for i in range(1, n))
-    return CriterionResult(holds=len({*diffs, *(-d for d in diffs)}) == 2 * len(diffs),
-                           values=diffs)
+    return CriterionResult(values=tuple(h[i, i] - h[i + 1, i + 1] for i in range(1, n)))
 
 
 # ---------------------------------------------------------------- forms

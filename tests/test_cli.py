@@ -59,6 +59,24 @@ class TestGen:
         code, err = run_bad(capsys, "gen", "--family", "nonsense", "--n", "3")
         assert code == 2 and err.startswith("liegen: error: argument --family: invalid choice")
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "lower_bidiagonal", "--n", "4"],
+        ["classify", "--family", "g2_7x7"],
+        ["bounds", "--family", "lower_bidiagonal", "--n", "4"],
+        ["certify", "--family", "g2_7x7", "--t", "20", "--r", "20"],
+        ["gen", "--family", "lowr", "--n", "3"],
+        ["certify", "--family", "double_corner", "--n", "4", "--t", "8", "--s", "3"],
+    ], ids=["gen-lower_bidiagonal", "classify-g2_7x7", "bounds-lower_bidiagonal",
+            "certify-g2_7x7", "gen-misspelt", "certify-double_corner"])
+    def test_family_takes_only_the_documented_spellings(self, capsys, argv):
+        """The library's family names are no --family value, and the refusal lists
+        the README's four (the three with bounds for ``bounds`` and ``certify``);
+        whether argparse quotes each choice depends on the Python version."""
+        code, err = run_bad(capsys, *argv)
+        listed = ("corner, lower, g2" if argv[0] in ("bounds", "certify")
+                  else "corner, double_corner, lower, g2")
+        assert code == 2 and f"(choose from {listed})\n" in err.replace("'", "")
+
     def test_missing_n_is_error(self, capsys):
         code, _ = run(capsys, "gen", "--family", "corner")
         assert code == 2
