@@ -26,15 +26,8 @@ from fractions import Fraction
 from . import __version__
 from .exact import DEFAULT_WIDTH, Matrix, Polynomial, RootBracket, bracket_width
 from .generators import FAMILIES, FAMILY_CORNER, build_pair, bvector, doubling_bvector
-from .closure import classify, subalgebra_closure
-from .pingpong import (
-    CONCLUSION_FREE_DENSE,
-    S0,
-    PingPongBound,
-    certify_free_dense,
-    compute_t0,
-    second_bound,
-)
+from .closure import subalgebra_closure
+from .pingpong import CONCLUSION_FREE_DENSE, S0, PingPongBound, certify_free_dense, family_bounds
 from .groups import exp_corner, exp_lower, exp_upper, freeness_scan, thin_pair
 
 def read_number(text: str) -> Fraction:
@@ -221,7 +214,7 @@ def cmd_gen(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _closure_doc(seed: Sequence[Matrix]) -> tuple[dict, int]:
     result = subalgebra_closure(list(seed))
-    label = classify(seed[0].n, result.dim)
+    label = result.type_label
     doc = {
         "dim": result.dim,
         "rounds": result.rounds,
@@ -245,8 +238,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
     doc: dict = {"width": str(args.width), "family": args.family, "n": args.n}
     if args.b is not None:
         doc["b"] = [str(x) for x in args.b]
-    doc.update(_bounds_doc(compute_t0(args.n, args.width),
-                           second_bound(args.family, args.n, args.b, args.width)))
+    doc.update(_bounds_doc(*family_bounds(args.family, args.n, args.b, args.width)))
     return doc, 0
 
 
@@ -275,7 +267,7 @@ def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
         "closure": {
             "dim": cert.closure.dim,
             "rounds": cert.closure.rounds,
-            "type": cert.type_label.name,
+            "type": cert.closure.type_label.name,
             "target_dim": cert.target.dim,
             "target_type": cert.target.name,
         },

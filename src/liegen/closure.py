@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from collections.abc import Sequence
 
-from .exact import Matrix, SpanBasis, _int_flatten
+from .exact import Matrix, SpanBasis, _by_row, _int_flatten, _sparse_bracket
 from .generators import lookup_family
 
 
@@ -18,25 +18,10 @@ class ClosureResult(namedtuple("ClosureResult", "basis rounds")):
     def dim(self) -> int:
         return self.basis.rank
 
-
-def _by_row(v: dict[int, int], n: int) -> dict[int, list[tuple[int, int]]]:
-    """Nonzero entries grouped by row, {i: [(j, a_ij)]}, 0-based."""
-    rows = defaultdict(list)
-    for k, x in v.items():
-        i, j = divmod(k, n)
-        rows[i].append((j, x))
-    return rows
-
-
-def _sparse_bracket(a: dict, b: dict, n: int) -> dict[int, int]:
-    """[a, b] = ab - ba of two matrices grouped by row, as {row-major index: int}."""
-    out: dict[int, int] = defaultdict(int)
-    for left, right, sign in ((a, b, 1), (b, a, -1)):
-        for i, row in left.items():
-            for j, x in row:
-                for k, y in right.get(j, ()):
-                    out[i * n + k] += sign * x * y
-    return {k: x for k, x in out.items() if x}
+    @property
+    def type_label(self) -> TypeLabel:
+        """The simple type ``classify`` names for the closure's size and dimension."""
+        return classify(self.basis.n, self.dim)
 
 
 def subalgebra_closure(seed: Sequence[Matrix]) -> ClosureResult:

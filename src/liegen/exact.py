@@ -8,7 +8,7 @@ a certificate rather than an approximation.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
@@ -148,6 +148,26 @@ def _int_flatten(m: Matrix) -> dict[int, int]:
     flat = m.flatten()
     den = math.lcm(*(x.denominator for x in flat))
     return _primitive({k: int(x * den) for k, x in enumerate(flat) if x})
+
+
+def _by_row(v: dict[int, int], n: int) -> dict[int, list[tuple[int, int]]]:
+    """Nonzero entries grouped by row, {i: [(j, a_ij)]}, 0-based."""
+    rows = defaultdict(list)
+    for k, x in v.items():
+        i, j = divmod(k, n)
+        rows[i].append((j, x))
+    return rows
+
+
+def _sparse_bracket(a: dict, b: dict, n: int) -> dict[int, int]:
+    """[a, b] = ab - ba of two matrices grouped by row, as {row-major index: int}."""
+    out: dict[int, int] = defaultdict(int)
+    for left, right, sign in ((a, b, 1), (b, a, -1)):
+        for i, row in left.items():
+            for j, x in row:
+                for k, y in right.get(j, ()):
+                    out[i * n + k] += sign * x * y
+    return {k: x for k, x in out.items() if x}
 
 
 def _eliminate(v: dict[int, int], row: dict[int, int], p: int) -> dict[int, int]:

@@ -120,9 +120,11 @@ class GeneratorPair(namedtuple("GeneratorPair", "first second family")):
 
 
 def bvector(b: Sequence[Scalar] | None, n: int) -> tuple[Fraction, ...]:
-    """b as exact values, when it is a b-vector of size n: n - 1 entries, all nonzero."""
+    """b as exact values, when it is a b-vector of size n >= 2: n - 1 entries, all nonzero."""
     if b is None or len(b) != n - 1:
         raise ValueError("b-vector length must be n - 1")
+    if n < 2:
+        raise ValueError("n must be at least 2")
     bs = tuple(_rat(x) for x in b)
     if not all(bs):
         raise ValueError("all b_i must be nonzero")

@@ -23,7 +23,7 @@ from .exact import (
     _rat,
     isolate_largest_positive_root,
 )
-from .closure import TypeLabel, classify, predicted_type, subalgebra_closure
+from .closure import TypeLabel, predicted_type, subalgebra_closure
 from .generators import build_pair, bvector, lookup_family, lower_coefficients
 
 #: Threshold for b(s)^m X1 in X2.
@@ -57,8 +57,6 @@ def r_inequalities(b: Sequence[Scalar]) -> list[Polynomial]:
     denominators scales it to integers.
     """
     n = len(b) + 1
-    if n < 2:
-        raise ValueError("n must be at least 2")
     c = lower_coefficients([abs(x.numerator) if x.denominator == 1 else abs(x)
                             for x in bvector(b, n)])
     fact = [math.factorial(d) for d in range(n)]
@@ -118,17 +116,17 @@ def compute_r0(b: Sequence[Scalar], width: Fraction = DEFAULT_WIDTH) -> PingPong
     return _bound_from_polys("r_bound", r_inequalities(b), width)
 
 
-def second_bound(
+def family_bounds(
     family: str, n: int, b: Sequence[Scalar] | None = None, width: Fraction = DEFAULT_WIDTH
-) -> PingPongBound | None:
-    """Bound on the second generator's parameter: r0 of the lower bidiagonal
-    second generator (b fixed for G2), None where the threshold is S0 = 2."""
+) -> tuple[PingPongBound, PingPongBound | None]:
+    """The family's two bounds at size n: t0, and r0 of the lower bidiagonal
+    second generator (b fixed for G2), or None where the threshold is S0 = 2."""
     fam = lookup_family(family)
     if fam.second is None:
         raise ValueError(f"family {family!r} has no certified ping-pong bounds")
     n = fam.size(n)
     b = fam.read_b(b, n)
-    return None if fam.second == "s" else compute_r0(b, width)
+    return compute_t0(n, width), None if fam.second == "s" else compute_r0(b, width)
 
 
 def freeness_warning(t: Scalar, t_bound: PingPongBound, x: Scalar,
@@ -156,10 +154,6 @@ class Certificate(namedtuple("Certificate", "pair t second closure t_bound secon
     __slots__ = ()
 
     @property
-    def type_label(self) -> TypeLabel:
-        return classify(self.pair.n, self.closure.dim)
-
-    @property
     def target(self) -> TypeLabel:
         return predicted_type(self.pair.family, self.pair.n)
 
@@ -172,7 +166,7 @@ class Certificate(namedtuple("Certificate", "pair t second closure t_bound secon
     def conclusion(self) -> str:
         """Density: the closure has the target type, and t and ``second`` are nonzero;
         freeness: they pass ``freeness_warning``.  Without density, insufficient."""
-        if self.type_label != self.target or not (self.t and self.second):
+        if self.closure.type_label != self.target or not (self.t and self.second):
             return CONCLUSION_INSUFFICIENT
         if freeness_warning(self.t, self.t_bound, self.second, self.second_bound) is None:
             return CONCLUSION_FREE_DENSE
@@ -193,8 +187,8 @@ def certify_free_dense(
     """
     t, second = _rat(t), _rat(second)
     n = lookup_family(family).check(n)
-    bound = second_bound(family, n, b, width)
+    t_bound, bound = family_bounds(family, n, b, width)
     pair = build_pair(family, n, b)
     return Certificate(pair=pair, t=t, second=second,
                        closure=subalgebra_closure([pair.first, pair.second]),
-                       t_bound=compute_t0(n, width), second_bound=bound)
+                       t_bound=t_bound, second_bound=bound)

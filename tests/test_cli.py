@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import pathlib
+import random
 import signal
 import subprocess
 import sys
@@ -240,6 +241,29 @@ class TestCertify:
         assert code == 0
         assert doc["closure"]["dim"] == 14
 
+    @staticmethod
+    def bounds_cases():
+        """Seeded (family, n, b, e) cases, at width 2^-e for e from 20 to 160: corner
+        at n = 3..12, lower with the doubling and a random integer b at n = 3..8, and g2."""
+        rng = random.Random(37)
+        cases = [("corner", n, None) for n in range(3, 13)] + [
+            ("lower", n, b) for n in range(3, 9) for b in ("doubling", ",".join(
+                str(rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in range(n - 1)))]
+        cases.append(("g2", None, None))
+        return [(*case, 20 + 20 * (i % 8)) for i, case in enumerate(cases)]
+
+    @pytest.mark.parametrize("family, n, b, e", bounds_cases())
+    def test_bounds_prints_the_certificate_bounds(self, capsys, family, n, b, e):
+        """``bounds`` prints the t and s0 or r objects that ``certify`` prints at the
+        same family, n, b and width."""
+        argv = ["--family", family, f"--width=1/{2**e}", *(["--n", str(n)] if n else []),
+                *([f"--b={b}"] if b else [])]
+        code, bounds = run(capsys, "bounds", *argv)
+        second = "--s" if family == "corner" else "--r"
+        _, cert = run(capsys, "certify", *argv, "--t", "1", second, "1")
+        assert code == 0 and cert is not None
+        assert {k: bounds[k] for k in ("t", "s0", "r") if k in bounds} == cert["bounds"]
+
 
 class TestScan:
     def test_clean(self, capsys):
@@ -276,7 +300,7 @@ def refuse_work(monkeypatch):
         raise RuntimeError("work began before the inputs were checked")
     monkeypatch.setattr(cli, "build_pair", work)
     monkeypatch.setattr(pingpong, "build_pair", work)
-    monkeypatch.setattr(cli, "compute_t0", work)
+    monkeypatch.setattr(pingpong, "compute_t0", work)
 
 
 def no_work(*args, **kwargs):

@@ -106,6 +106,13 @@ class TestBVector:
         with pytest.raises(ValueError, match=message):
             bvector(b, 4)
 
+    def test_rejects_a_size_below_2(self):
+        """The length check comes first, so only n = 1 reaches the size check."""
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            bvector([], 1)
+        with pytest.raises(ValueError, match="length"):
+            bvector([], 0)
+
 
 class TestBuildPair:
     def test_each_family(self):
@@ -215,6 +222,9 @@ class TestCriteria:
             prop2_criterion(type_a_cartan(2), (1, 0))
         with pytest.raises(ValueError, match="Cartan matrix must be square"):
             prop2_criterion([[2, -1]], [1, 2])
+        # no vacuous holds: an empty Cartan matrix and b are a b-vector of size 1
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            prop2_criterion([], [])
 
     def test_prop1(self):
         h = Matrix([[3, 0, 0], [0, 1, 0], [0, 0, -4]])

@@ -85,6 +85,11 @@ class TestExponentials:
         with pytest.raises(ValueError):
             exp_lower(1, (1, 0))
 
+    def test_lower_rejects_an_empty_b(self):
+        """An empty b is n = 1, which ``exp_upper`` and ``exp_corner`` refuse too."""
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            exp_lower(1, [])
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_nilpotent_series_agrees(self, n):
         rng = random.Random(n)

@@ -27,9 +27,9 @@ from liegen.pingpong import (
     certify_free_dense,
     compute_r0,
     compute_t0,
+    family_bounds,
     freeness_warning,
     r_inequalities,
-    second_bound,
     t_inequality,
 )
 
@@ -170,15 +170,21 @@ class TestBounds:
         assert p(bound.bracket.lo) <= 0
         assert bound.bracket.hi <= bound.safe_value
 
-    def test_second_bound_per_family(self):
-        assert second_bound(FAMILY_CORNER, 5) is None
+    def test_family_bounds_per_family(self):
+        assert family_bounds(FAMILY_CORNER, 5) == (compute_t0(5), None)
         b = doubling_bvector(4)
-        assert second_bound(FAMILY_LOWER, 4, b) == compute_r0(b)
-        assert second_bound(FAMILY_G2, 7) == compute_r0(G2_LOWER_B)
+        assert family_bounds(FAMILY_LOWER, 4, b) == (compute_t0(4), compute_r0(b))
+        assert family_bounds(FAMILY_G2, 7) == (compute_t0(7), compute_r0(G2_LOWER_B))
         with pytest.raises(ValueError):
-            second_bound(FAMILY_LOWER, 4)
+            family_bounds(FAMILY_LOWER, 4)
         with pytest.raises(ValueError):
-            second_bound("double_corner", 5)
+            family_bounds("double_corner", 5)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_family_bounds_refuses_a_size_without_t0(self, n):
+        """S0 = 2 is no answer at a size whose t0 is refused."""
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            family_bounds(FAMILY_CORNER, n)
 
     def test_false_certificate_refused(self):
         # (x-1)(x-100)(x-100001/1000) is positive at 1025/1024 and at
@@ -240,7 +246,7 @@ class TestCertify:
     def test_corner_n4_certified(self):
         cert = certify_free_dense(4, FAMILY_CORNER, t=8, second=3)
         assert cert.conclusion == CONCLUSION_FREE_DENSE
-        assert cert.type_label.name == "C2"
+        assert cert.closure.type_label.name == "C2"
 
     def test_corner_below_bounds(self):
         cert = certify_free_dense(4, FAMILY_CORNER, t=1, second=1)
@@ -254,7 +260,7 @@ class TestCertify:
         safe = compute_t0(5).safe_value
         cert = certify_free_dense(5, FAMILY_CORNER, t=safe + 1, second=3)
         assert cert.conclusion == CONCLUSION_FREE_DENSE
-        assert cert.type_label.name == "A4"
+        assert cert.closure.type_label.name == "A4"
 
     def test_lower_n4(self):
         cert = certify_free_dense(4, FAMILY_LOWER, t=9, second=2, b=doubling_bvector(4))
@@ -304,11 +310,11 @@ class TestCertify:
         the lower pair at b = (13, 11, 13) closes to C2, not to its target A3."""
         for t, x in ((0, 3), (3, 0), (1, 1), (10**4, 10**4)):
             cert = certify_free_dense(n, family, t=t, second=x, b=b)
-            named = cert.type_label == cert.target
+            named = cert.closure.type_label == cert.target
             assert (cert.conclusion != CONCLUSION_INSUFFICIENT) == (named and t != 0 and x != 0)
         assert named != (b == (13, 11, 13))
         if not named:
-            assert cert.type_label.name == "C2" and cert.target.name == "A3"
+            assert cert.closure.type_label.name == "C2" and cert.target.name == "A3"
 
     def test_freeness_warning_names_the_first_test_that_fails(self):
         t_bound, r_bound = compute_t0(4), compute_r0(doubling_bvector(4))
@@ -332,14 +338,14 @@ class TestCertify:
             certify_free_dense(4, FAMILY_CORNER, t=9, second=3, b=[1, 2, 3])
 
     @pytest.mark.parametrize("family,n,b", [(FAMILY_G2, 7, [1, 2]), (FAMILY_CORNER, 4, [0])])
-    def test_second_bound_refuses_a_b_vector_the_family_does_not_read(self, family, n, b):
+    def test_family_bounds_refuses_a_b_vector_the_family_does_not_read(self, family, n, b):
         with pytest.raises(ValueError, match="takes no b-vector"):
-            second_bound(family, n, b)
+            family_bounds(family, n, b)
 
     @pytest.mark.parametrize("call", [
         lambda: certify_free_dense(8, FAMILY_G2, t=20, second=20),
-        lambda: second_bound(FAMILY_G2, 8),
-    ], ids=["certify_free_dense", "second_bound"])
+        lambda: family_bounds(FAMILY_G2, 8),
+    ], ids=["certify_free_dense", "family_bounds"])
     def test_g2_at_another_size_names_the_size_rule(self, call):
         """No b-vector was given, so the message is about n, not b."""
         with pytest.raises(ValueError, match="the g2 family lives in dimension 7"):
@@ -350,8 +356,8 @@ class TestCertify:
         (lambda: shift_pair(None), "corner"),
         (lambda: predicted_type(FAMILY_CORNER, None), "corner"),
         (lambda: certify_free_dense(None, FAMILY_CORNER, 8, second=3), "corner"),
-        (lambda: second_bound(FAMILY_LOWER, None, [1, 2]), "lower"),
-    ], ids=["build_pair", "shift_pair", "predicted_type", "certify_free_dense", "second_bound"])
+        (lambda: family_bounds(FAMILY_LOWER, None, [1, 2]), "lower"),
+    ], ids=["build_pair", "shift_pair", "predicted_type", "certify_free_dense", "family_bounds"])
     def test_omitted_n_names_the_family(self, call, family):
         """Only a family of one size may omit n; every other refuses None with
         the family's name, not a TypeError from comparing None."""

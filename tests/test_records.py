@@ -130,7 +130,7 @@ SCAN = freeness_scan(2, 3, 3, max_syllables=3, max_exponent=2)
      and not WARNED.certified and WARNED.warning is not None),
     (LOWER, "b", lambda p: p.b == (8, 12, 14) and shift_pair(4).b is None
      and p._replace(second=lower_bidiagonal((1, -2, 5))).b == (1, -2, 5)),
-    (CERT, "type_label", lambda c: c.type_label == classify(4, c.closure.dim)
+    (CERT.closure, "type_label", lambda c: c.type_label == classify(4, c.dim)
      and c.type_label.name == "A3"),
     (CERT, "target", lambda c: c.target == predicted_type("lower_bidiagonal", 4)),
     (CERT, "conclusion", lambda c: c.conclusion == "free_dense_certified"
@@ -146,7 +146,7 @@ SCAN = freeness_scan(2, 3, 3, max_syllables=3, max_exponent=2)
      and not r._replace(values=(4, -4)).holds and not r._replace(values=(0, 1)).holds
      and not r._replace(values=(2, 2)).holds),
 ], ids=["GeneratorPair-n", "ClosureResult-dim", "Certificate-n", "Certificate-family",
-        "ThinPair-n", "ThinPair-certified", "GeneratorPair-b", "Certificate-type_label",
+        "ThinPair-n", "ThinPair-certified", "GeneratorPair-b", "ClosureResult-type_label",
         "Certificate-target", "Certificate-conclusion", "Certificate-parameters",
         "ScanReport-words_checked", "ThinPair-t", "ThinPair-s", "CriterionResult-holds"])
 def test_a_fact_is_read_off_the_field_that_holds_it(record, dropped, read):
