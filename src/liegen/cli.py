@@ -7,8 +7,9 @@ failed write to stdout, 141 closed stdout.  ``main`` may be called repeatedly
 in one process; every call parses with the one parser that ``build_parser``
 builds on first use.  ``read_inputs`` then reads and checks every flag and
 file.  The ``cmd_*`` functions only compute, each returning its document and
-exit code; ``main`` prints the document.  Python's int/str digit limit is lifted
-while they compute and ``main`` prints.
+exit code; ``main`` prints the document, rendered by ``_put_json`` exactly as
+``json.dumps(doc, indent=2)`` renders it.  Python's int/str digit limit is
+lifted while they compute and ``main`` prints.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -374,6 +376,71 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _scalar(x) -> str:
+    """x, a str, int, float, True, False or None, as JSON text, the way ``json`` writes it."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _put_json(x, newline: str, put) -> None:
+    """Pass x to ``put`` in pieces that join to ``json.dumps(x, indent=2)`` as it
+    reads nested in a document, where ``newline`` is a line break and the indent
+    of x's own line (a bare line break at the top).  x is what ``_scalar``
+    takes, or dicts (str keys, in insertion order), lists and tuples of it; a
+    list of only str or only int items is one piece."""
+    if isinstance(x, dict):
+        if not x:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in x.items():
+            if isinstance(value, (dict, list, tuple)):
+                put(sep + _quote(key) + ": ")
+                _put_json(value, inner, put)
+            else:
+                put(sep + _quote(key) + ": " + _scalar(value))
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            put("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, x))
+        if kinds == {str} or kinds == {int}:
+            text = map(_quote if kinds == {str} else int.__repr__, x)
+            put("[" + inner + ("," + inner).join(text) + newline + "]")
+            return
+        sep = "[" + inner
+        for value in x:
+            if isinstance(value, (dict, list, tuple)):
+                put(sep)
+                _put_json(value, inner, put)
+            else:
+                put(sep + _scalar(value))
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        put(_scalar(x))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one invocation and return its exit code, 2 for any refusal, the parser's
     too; ``--help`` raises ``SystemExit(0)``, a failed write to stdout its ``OSError``."""
@@ -388,7 +455,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)  # inputs were read under it; exact output may pass it
         try:
             doc, code = args.func(args)
-            json.dump(doc, sys.stdout, indent=2)
+            # piece by piece: after one write of a large text, a reader that
+            # closed stdout early can go unnoticed (exit 0, not 141)
+            _put_json(doc, "\n", sys.stdout.write)
             sys.stdout.write("\n")
             return code
         finally:

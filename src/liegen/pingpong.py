@@ -51,31 +51,23 @@ def r_inequalities(b: Sequence[Scalar]) -> list[Polynomial]:
 
     stored with denominators cleared (integer coefficients, matching the
     displayed paper forms: no further division by the content).  The |c_{d,j}|
-    are products of the |b_i|, in ints where those are integers; each
-    coefficient x/d! is put in lowest terms by one divmod by d!, with a gcd
-    only where d! leaves a remainder, and the lcm of a polynomial's reduced
-    denominators scales it to integers.
+    are products of the |b_i|, in ints where those are integers.  Scaling each
+    coefficient x/d! by M = (n-1)! D, D the lcm of the denominators of the
+    c_{d,j}, makes it an integer; dividing a polynomial's by their gcd with M
+    leaves it scaled by its least common denominator.
     """
     n = len(b) + 1
     c = lower_coefficients([abs(x.numerator) if x.denominator == 1 else abs(x)
                             for x in bvector(b, n)])
-    fact = [math.factorial(d) for d in range(n)]
-
-    def over(x: Scalar, f: int) -> tuple[int, int]:
-        # x/f in lowest terms, as (numerator, denominator)
-        q, r = divmod(x.numerator, f)
-        if not r:
-            return q, x.denominator
-        g = math.gcd(r, f)
-        return x.numerator // g, x.denominator * (f // g)
-
-    lhs = [over(-x, f) for x, f in zip(c[n], fact)]
-    lhs[n - 1] = over(c[n][n - 1], fact[n - 1])
+    den = math.lcm(*(x.denominator for row in c for x in row))
+    scale = [den * math.perm(n - 1, n - 1 - d) for d in range(n)]  # M / d!
+    lhs = [(-x * s).numerator for x, s in zip(c[n], scale)]  # as int, also from a Fraction x
+    lhs[n - 1] = -lhs[n - 1]
     polys = []
     for j in range(1, n):
-        cs = [over(-x - y, f) for x, y, f in zip(c[n], c[j], fact)] + lhs[j:]
-        den = math.lcm(*(q for _, q in cs))
-        polys.append(Polynomial([p * (den // q) for p, q in cs]))
+        cs = [((-x - y) * s).numerator for x, y, s in zip(c[n], c[j], scale)] + lhs[j:]
+        g = math.gcd(scale[0], *cs)
+        polys.append(Polynomial([x // g for x in cs]))
     return polys
 
 

@@ -716,6 +716,110 @@ def test_a_command_returns_the_document_that_main_prints(capsys, tmp_path, argv)
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Python's int/str digit limit set to ``limit`` (0 lifts it) inside the block."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+class TestJsonWriter:
+    """``main`` prints a document through ``cli._put_json``, which must render
+    it exactly as ``json.dumps(doc, indent=2)`` does."""
+
+    @staticmethod
+    def assert_renders_as_json(doc):
+        parts = []
+        cli._put_json(doc, "\n", parts.append)
+        assert all(type(p) is str for p in parts)
+        got, want = "".join(parts), json.dumps(doc, indent=2)
+        # compare around the first difference: pytest's diff of two large texts takes minutes
+        at = max(0, len(os.path.commonprefix([got, want])) - 60)
+        assert (got[at:at + 120], len(got)) == (want[at:at + 120], len(want))
+
+    @staticmethod
+    def command_doc(argv):
+        args = cli.build_parser().parse_args(argv)
+        cli.read_inputs(args)
+        return args.func(args)[0]
+
+    def test_every_golden_document(self, tmp_path):
+        from test_golden_cli import CASES, FILES
+
+        for name, doc in FILES.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        rendered = 0
+        for argv in CASES:
+            argv = [str(tmp_path / a) if a in FILES else a for a in argv]
+            with digit_limit(0):
+                try:
+                    doc = self.command_doc(argv)
+                except ValueError:  # the empty flag values: exit 2, no document
+                    continue
+                self.assert_renders_as_json(doc)
+            rendered += 1
+        assert rendered == len(CASES) - 9
+
+    @pytest.mark.parametrize("argv", [
+        ("exp", "--kind", "upper", "--n", "100", "--t", "1/3"),
+        ("bounds", "--family", "lower", "--n", "40"),
+        ("scan", "--n", "3", "--t", "1/2", "--s", "1", "--max-syll", "12", "--max-exp", "2"),
+    ], ids=["exp-upper-100", "bounds-lower-40", "scan-72-collisions"])
+    def test_large_documents(self, argv):
+        doc = self.command_doc(list(argv))
+        if argv[0] == "scan":  # collisions are tuples of (letter, exponent) tuples
+            assert len(doc["collisions"]) == 72
+            assert type(doc["collisions"][0]) is type(doc["collisions"][0][0]) is tuple
+        self.assert_renders_as_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), {"a": {}, "b": [], "c": ()},
+        [[], {}, (), [[]], [{}], ({"x": []},)],
+        {"outer": {"inner": {"deepest": [[[], ()]]}}},
+        ((1, "a"), (2, "b")),
+    ], ids=repr)
+    def test_empty_and_nested_containers(self, doc):
+        self.assert_renders_as_json(doc)
+
+    @pytest.mark.parametrize("text", [
+        'say "hi"', "back\\slash", "\x00\x01\x1f\x7f", "tab\tnew\nline\rfeed\x0c\x08",
+        "café", "☃ snow", "\U0001F600 face", "\ud800 lone surrogate", "",
+    ])
+    def test_strings(self, text):
+        self.assert_renders_as_json(text)
+        self.assert_renders_as_json({text: text, "list": [text, text], "mixed": [text, 1]})
+
+    @pytest.mark.parametrize("x", [
+        -0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.5, 1e16, 0.1,
+        float("nan"), float("inf"), float("-inf"),
+    ], ids=repr)
+    def test_floats(self, x):
+        self.assert_renders_as_json(x)
+        self.assert_renders_as_json({"approx": x, "items": [x, x], "mixed": [x, 1, "a"]})
+
+    def test_true_false_none_and_ints(self):
+        for x in (True, False, None, 0, -7, 2**70):
+            self.assert_renders_as_json(x)
+        self.assert_renders_as_json({"t": True, "f": False, "n": None, "i": -3})
+        self.assert_renders_as_json([True, False, None])
+        self.assert_renders_as_json([True, 1, False, 0])  # bools among ints stay true/false
+        self.assert_renders_as_json([1, -2, 3 ** 40])
+
+    def test_an_int_past_the_digit_limit(self):
+        big = 7 * 10 ** 4400
+        with digit_limit(0):
+            self.assert_renders_as_json({"big": big, "ints": [big, -big], "mixed": [big, "a"]})
+
+    def test_an_unsupported_type_is_refused(self):
+        for doc in (Fraction(1, 2), {"x": {1, 2}}, [b"bytes"]):
+            with pytest.raises(TypeError):
+                cli._put_json(doc, "\n", [].append)
+
+
 def src_env() -> dict:
     """The environment, with this checkout's ``src`` first on PYTHONPATH."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -733,14 +837,19 @@ def test_python_dash_m_runs_the_cli(module):
     assert proc.stderr == "liegen: error: scan needs exactly one of --s (corner) or --r (lower)\n"
 
 
-def test_a_closed_stdout_exits_141_without_a_message():
-    """``liegen ... | head -c 10``: the reader goes away while 424 kB of output,
-    more than a pipe buffer holds, are still unwritten."""
+@pytest.mark.parametrize("argv, head", [
+    (("exp", "--kind", "upper", "--n", "100", "--t", "1/3"), b'{\n  "kind"'),
+    (("bounds", "--family", "lower", "--n", "40"), b'{\n  "width'),
+], ids=["exp", "bounds"])
+def test_a_closed_stdout_exits_141_without_a_message(argv, head):
+    """``liegen ... | head -c 10``: the reader goes away while the output (424 kB
+    for ``exp``, 726 kB for ``bounds``), more than a pipe buffer holds, is still
+    unwritten."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "liegen", "exp", "--kind", "upper", "--n", "100", "--t", "1/3"],
+        [sys.executable, "-m", "liegen", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
     )
-    assert proc.stdout.read(10) == b'{\n  "kind"'
+    assert proc.stdout.read(10) == head
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
